@@ -34,7 +34,7 @@ StatusOr<JoinRunResult> AllReplicateJoin(
   job.set_partition([](const CellId& c) { return static_cast<int>(c); });
 
   job.set_map([&grid](const RelRect& r, Job::Emitter& emit) {
-    std::vector<CellId> cells;
+    std::vector<CellId>& cells = emit.ScratchKeys();
     ReplicateF1Cells(grid, r.rect, &cells);
     for (CellId c : cells) emit.Emit(c, r);
   });
@@ -59,6 +59,7 @@ StatusOr<JoinRunResult> AllReplicateJoin(
     }
     MultiwayLocalJoin local(query, std::move(spans));
     std::vector<const Rect*> member_rects(static_cast<size_t>(m));
+    int64_t counted = 0;
     local.Execute([&](const std::vector<const LocalRect*>& members) {
       for (int r = 0; r < m; ++r) {
         member_rects[static_cast<size_t>(r)] =
@@ -66,9 +67,7 @@ StatusOr<JoinRunResult> AllReplicateJoin(
       }
       if (!OwnsTuple(grid, cell, member_rects)) return;
       if (count_only) {
-        // Attempt-scoped counter (not a captured atomic): a reduce attempt
-        // re-executed under fault injection must not double-count.
-        out.IncrementCounter(kCounterTuplesCounted, 1);
+        ++counted;
         return;
       }
       IdTuple ids(static_cast<size_t>(m));
@@ -77,19 +76,16 @@ StatusOr<JoinRunResult> AllReplicateJoin(
       }
       out.Emit(std::move(ids));
     });
+    // Attempt-scoped counter (not a captured atomic): a reduce attempt
+    // re-executed under fault injection must not double-count.
+    if (counted > 0) out.IncrementCounter(kCounterTuplesCounted, counted);
   });
 
   JoinRunResult result;
-  const TransformCounters transform_before = SnapshotTransformCounters();
-  const DedupCounters dedup_before = SnapshotDedupCounters();
   JobStats stats = job.Run(std::span<const RelRect>(input), &result.tuples, ctx);
-  const TransformCounters transform_delta =
-      TransformCountersDelta(transform_before, SnapshotTransformCounters());
-  const DedupCounters dedup_delta =
-      DedupCountersDelta(dedup_before, SnapshotDedupCounters());
-  algo_span.AddArg("replicate_f1_calls", transform_delta.replicate_f1_calls);
-  algo_span.AddArg("dedup_tuple_checks", dedup_delta.tuple_checks);
-  algo_span.AddArg("dedup_owned", dedup_delta.owned);
+  algo_span.AddArg("replicate_f1_calls", stats.work.replicate_f1_calls);
+  algo_span.AddArg("dedup_tuple_checks", stats.work.tuple_checks);
+  algo_span.AddArg("dedup_owned", stats.work.owned);
   stats.user_counters[kCounterRectanglesReplicated] =
       static_cast<int64_t>(input.size());
   // The paper's "number of rectangles after replication" (§7.8.3) counts

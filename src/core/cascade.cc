@@ -172,7 +172,7 @@ StatusOr<JoinRunResult> CascadeJoin(
 
     job.set_map([&grid, anchor, anchor_pred, anchor_d](
                     const CascadeRecord& rec, Job::Emitter& emit) {
-      std::vector<CellId> cells;
+      std::vector<CellId>& cells = emit.ScratchKeys();
       if (rec.is_tuple) {
         const Rect& route_by =
             rec.components[static_cast<size_t>(anchor.bound_position)].rect;
@@ -208,6 +208,7 @@ StatusOr<JoinRunResult> CascadeJoin(
 
       RTree::QueryScratch scratch;
       std::vector<int32_t> matches;
+      int64_t counted = 0;
       for (const CascadeRecord* t : local_tuples) {
         const Rect& anchor_rect =
             t->components[static_cast<size_t>(anchor.bound_position)].rect;
@@ -241,10 +242,7 @@ StatusOr<JoinRunResult> CascadeJoin(
           }
           if (!ok) continue;
           if (count_this_step) {
-            // Attempt-scoped counter (not a captured atomic): a reduce
-            // attempt re-executed under fault injection must not
-            // double-count its tuples.
-            out.IncrementCounter(kCounterTuplesCounted, 1);
+            ++counted;
             continue;
           }
           CascadeRecord merged;
@@ -254,22 +252,19 @@ StatusOr<JoinRunResult> CascadeJoin(
           out.Emit(std::move(merged));
         }
       }
+      // Attempt-scoped counter (not a captured atomic): a reduce attempt
+      // re-executed under fault injection must not double-count its tuples.
+      if (counted > 0) out.IncrementCounter(kCounterTuplesCounted, counted);
     });
 
     std::vector<CascadeRecord> next;
-    const TransformCounters transform_before = SnapshotTransformCounters();
-    const DedupCounters dedup_before = SnapshotDedupCounters();
     JobStats stats = job.Run(std::span<const CascadeRecord>(input), &next, ctx);
-    const TransformCounters transform_delta =
-        TransformCountersDelta(transform_before, SnapshotTransformCounters());
-    const DedupCounters dedup_delta =
-        DedupCountersDelta(dedup_before, SnapshotDedupCounters());
-    step_span.AddArg("split_calls", transform_delta.split_calls);
-    step_span.AddArg("enlarged_split_calls",
-                     transform_delta.enlarged_split_calls);
+    const WorkCounters& work = stats.work;
+    step_span.AddArg("split_calls", work.split_calls);
+    step_span.AddArg("enlarged_split_calls", work.enlarged_split_calls);
     step_span.AddArg("dedup_pair_checks",
-                     dedup_delta.pair_checks + dedup_delta.range_pair_checks);
-    step_span.AddArg("dedup_owned", dedup_delta.owned);
+                     work.pair_checks + work.range_pair_checks);
+    step_span.AddArg("dedup_owned", work.owned);
     step_span.AddArg("output_records",
                      static_cast<int64_t>(next.size()));
     // Engine charges sizeof(In/Out) per record; replace with the real

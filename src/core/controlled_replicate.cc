@@ -375,7 +375,7 @@ StatusOr<JoinRunResult> ControlledReplicateJoin(
   Round1 round1("crep_round1_mark", grid.num_cells());
   round1.set_partition([](const CellId& c) { return static_cast<int>(c); });
   round1.set_map([&grid](const RelRect& r, Round1::Emitter& emit) {
-    std::vector<CellId> cells;
+    std::vector<CellId>& cells = emit.ScratchKeys();
     SplitCells(grid, r.rect, &cells);
     for (CellId c : cells) emit.Emit(c, r);
   });
@@ -414,12 +414,10 @@ StatusOr<JoinRunResult> ControlledReplicateJoin(
       round_span.AddArg("marked_records", marked_count);
     } else {
       std::vector<MarkedRect> marked_rects;
-      const TransformCounters before = SnapshotTransformCounters();
-      result.stats.Add(
-          round1.Run(std::span<const RelRect>(input), &marked_rects, ctx));
-      const TransformCounters delta =
-          TransformCountersDelta(before, SnapshotTransformCounters());
-      round_span.AddArg("split_calls", delta.split_calls);
+      JobStats round1_stats =
+          round1.Run(std::span<const RelRect>(input), &marked_rects, ctx);
+      round_span.AddArg("split_calls", round1_stats.work.split_calls);
+      result.stats.Add(std::move(round1_stats));
       int64_t marked_count = 0;
       for (const MarkedRect& r : marked_rects) {
         marked_count += r.marked ? 1 : 0;
@@ -459,7 +457,7 @@ StatusOr<JoinRunResult> ControlledReplicateJoin(
       emit.Emit(ProjectCell(grid, r.rect), payload);
       return;
     }
-    std::vector<CellId> cells;
+    std::vector<CellId>& cells = emit.ScratchKeys();
     if (limit) {
       ReplicateF2Cells(grid, r.rect,
                        limit_bounds[static_cast<size_t>(r.relation)], metric,
@@ -492,6 +490,7 @@ StatusOr<JoinRunResult> ControlledReplicateJoin(
     }
     MultiwayLocalJoin local(query, std::move(spans));
     std::vector<const Rect*> member_rects(static_cast<size_t>(m));
+    int64_t counted = 0;
     local.Execute([&](const std::vector<const LocalRect*>& members) {
       for (int r = 0; r < m; ++r) {
         member_rects[static_cast<size_t>(r)] =
@@ -499,7 +498,7 @@ StatusOr<JoinRunResult> ControlledReplicateJoin(
       }
       if (!OwnsTuple(grid, cell, member_rects)) return;
       if (count_only) {
-        out.IncrementCounter(kCounterTuplesCounted, 1);
+        ++counted;
         return;
       }
       IdTuple ids(static_cast<size_t>(m));
@@ -508,22 +507,18 @@ StatusOr<JoinRunResult> ControlledReplicateJoin(
       }
       out.Emit(std::move(ids));
     });
+    if (counted > 0) out.IncrementCounter(kCounterTuplesCounted, counted);
   });
 
   TraceSpan round2_span(tracer, "crep_round2", "stage");
-  const TransformCounters transform_before = SnapshotTransformCounters();
-  const DedupCounters dedup_before = SnapshotDedupCounters();
   JobStats round2_stats = round2.Run(
       std::span<const MarkedRect>(*marked_shared), &result.tuples, ctx);
-  const TransformCounters transform_delta =
-      TransformCountersDelta(transform_before, SnapshotTransformCounters());
-  const DedupCounters dedup_delta =
-      DedupCountersDelta(dedup_before, SnapshotDedupCounters());
-  round2_span.AddArg("project_calls", transform_delta.project_calls);
-  round2_span.AddArg("replicate_f1_calls", transform_delta.replicate_f1_calls);
-  round2_span.AddArg("replicate_f2_calls", transform_delta.replicate_f2_calls);
-  round2_span.AddArg("dedup_tuple_checks", dedup_delta.tuple_checks);
-  round2_span.AddArg("dedup_owned", dedup_delta.owned);
+  const WorkCounters& work = round2_stats.work;
+  round2_span.AddArg("project_calls", work.project_calls);
+  round2_span.AddArg("replicate_f1_calls", work.replicate_f1_calls);
+  round2_span.AddArg("replicate_f2_calls", work.replicate_f2_calls);
+  round2_span.AddArg("dedup_tuple_checks", work.tuple_checks);
+  round2_span.AddArg("dedup_owned", work.owned);
   round2_span.End();
   // Unmarked rectangles never touch the replicated/copies counters, so
   // make them explicit zeros for stable stats output.

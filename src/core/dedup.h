@@ -5,6 +5,7 @@
 #include <span>
 
 #include "common/effects.h"
+#include "common/work_counters.h"
 #include "geometry/rect.h"
 #include "grid/grid_partition.h"
 
@@ -45,31 +46,23 @@ MWSJ_ALLOC_FREE MWSJ_DETERMINISTIC bool OwnsTuple(
     const GridPartition& grid, CellId cell,
     std::span<const Rect* const> members);
 
-/// Cumulative process-wide counts of the ownership checks above — one
-/// relaxed atomic increment per call, plus how many checks answered "this
-/// cell owns it". Same snapshot/delta observability pattern as
-/// grid/transform.h's TransformCounters: algorithms snapshot around a
-/// reduce pass and attach the deltas to its trace span so the
-/// duplicate-avoidance workload is visible next to wall time.
-///
-/// These are *executed-work* tallies, deliberately not exactly-once:
-/// under fault injection a re-executed or speculative task attempt bumps
-/// them again, so deltas measure retry amplification, not logical output.
-/// Exactly-once quantities belong in JobStats user counters via the
-/// engine's attempt-scoped Emitter/OutEmitter counters.
-struct DedupCounters {
-  int64_t pair_checks = 0;
-  int64_t range_pair_checks = 0;
-  int64_t tuple_checks = 0;
-  int64_t owned = 0;
-};
+/// Each check above counts itself into the calling thread's current work
+/// block (common/work_counters.h), plus one `owned` per "this cell owns
+/// it" answer — the same accounting as grid/transform.h's transforms:
+/// JobStats::work carries a job's committed counts, and the snapshot below
+/// is the process-wide executed-work total (discarded and speculative
+/// attempts included). The dedup fields are `pair_checks`,
+/// `range_pair_checks`, `tuple_checks` and `owned`.
+using DedupCounters = WorkCounters;
 
-/// Current cumulative counts (relaxed reads).
-DedupCounters SnapshotDedupCounters();
+/// Current process-wide executed-work totals.
+inline DedupCounters SnapshotDedupCounters() { return SnapshotWorkCounters(); }
 
 /// Per-field difference `after - before` of two snapshots.
-DedupCounters DedupCountersDelta(const DedupCounters& before,
-                                 const DedupCounters& after);
+inline DedupCounters DedupCountersDelta(const DedupCounters& before,
+                                        const DedupCounters& after) {
+  return WorkCountersDelta(before, after);
+}
 
 }  // namespace mwsj
 

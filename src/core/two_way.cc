@@ -33,7 +33,7 @@ TwoWayJoinOutcome TwoWaySpatialJoin(const GridPartition& grid,
 
   const double d = predicate.is_range() ? predicate.distance() : 0.0;
   job.set_map([&grid, &predicate, d](const RelRect& r, Job::Emitter& emit) {
-    std::vector<CellId> cells;
+    std::vector<CellId>& cells = emit.ScratchKeys();
     if (r.relation == 0 && predicate.is_range()) {
       EnlargedSplitCells(grid, r.rect, d, &cells);
     } else {

@@ -1,13 +1,12 @@
 // Cell-transform kernels: one call per input rectangle per round. Output
 // cells append into caller-owned vectors; no naked new/malloc, no
 // std::function — enforced by tools/mwsj_check.py via the MWSJ_ALLOC_FREE /
-// MWSJ_DETERMINISTIC annotations in transform.h. Shared state is limited
-// to relaxed atomics (statistics, not synchronization); there is no lock
-// to annotate.
+// MWSJ_DETERMINISTIC annotations in transform.h. Each call counts itself
+// into the calling thread's current work block (common/work_counters.h);
+// there is no shared state and no lock to annotate.
 #include "grid/transform.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 
 namespace mwsj {
@@ -19,18 +18,6 @@ inline double AxisGap(double a_lo, double a_hi, double b_lo, double b_hi) {
   if (a_hi < b_lo) return b_lo - a_hi;
   if (b_hi < a_lo) return a_lo - b_hi;
   return 0;
-}
-
-// Always-on transform call tallies (see SnapshotTransformCounters).
-// Relaxed: the counts are statistics, not synchronization.
-std::atomic<int64_t> g_project_calls{0};
-std::atomic<int64_t> g_split_calls{0};
-std::atomic<int64_t> g_replicate_f1_calls{0};
-std::atomic<int64_t> g_replicate_f2_calls{0};
-std::atomic<int64_t> g_enlarged_split_calls{0};
-
-inline void Bump(std::atomic<int64_t>& counter) {
-  counter.fetch_add(1, std::memory_order_relaxed);
 }
 
 }  // namespace
@@ -59,13 +46,13 @@ double CellRectMaxMinDistance(const GridPartition& grid, CellId cell,
 }
 
 CellId ProjectCell(const GridPartition& grid, const Rect& u) {
-  Bump(g_project_calls);
+  CountWork(&WorkCounters::project_calls);
   return grid.CellOfRect(u);
 }
 
 void SplitCells(const GridPartition& grid, const Rect& u,
                 std::vector<CellId>* out) {
-  Bump(g_split_calls);
+  CountWork(&WorkCounters::split_calls);
   const auto range = grid.CellsOverlapping(u);
   for (int row = range.row_lo; row <= range.row_hi; ++row) {
     for (int col = range.col_lo; col <= range.col_hi; ++col) {
@@ -78,7 +65,7 @@ void SplitCells(const GridPartition& grid, const Rect& u,
 
 void ReplicateF1Cells(const GridPartition& grid, const Rect& u,
                       std::vector<CellId>* out) {
-  Bump(g_replicate_f1_calls);
+  CountWork(&WorkCounters::replicate_f1_calls);
   const CellId anchor = grid.CellOfRect(u);
   const int row0 = grid.RowOf(anchor);
   const int col0 = grid.ColOf(anchor);
@@ -99,7 +86,7 @@ int64_t CountReplicateF1Cells(const GridPartition& grid, const Rect& u) {
 
 void ReplicateF2Cells(const GridPartition& grid, const Rect& u, double d,
                       DistanceMetric metric, std::vector<CellId>* out) {
-  Bump(g_replicate_f2_calls);
+  CountWork(&WorkCounters::replicate_f2_calls);
   const CellId anchor = grid.CellOfRect(u);
   const int row0 = grid.RowOf(anchor);
   const int col0 = grid.ColOf(anchor);
@@ -125,31 +112,8 @@ void ReplicateF2Cells(const GridPartition& grid, const Rect& u, double d,
 
 void EnlargedSplitCells(const GridPartition& grid, const Rect& u, double d,
                         std::vector<CellId>* out) {
-  Bump(g_enlarged_split_calls);
+  CountWork(&WorkCounters::enlarged_split_calls);
   SplitCells(grid, u.EnlargeByDistance(d), out);
-}
-
-TransformCounters SnapshotTransformCounters() {
-  TransformCounters c;
-  c.project_calls = g_project_calls.load(std::memory_order_relaxed);
-  c.split_calls = g_split_calls.load(std::memory_order_relaxed);
-  c.replicate_f1_calls = g_replicate_f1_calls.load(std::memory_order_relaxed);
-  c.replicate_f2_calls = g_replicate_f2_calls.load(std::memory_order_relaxed);
-  c.enlarged_split_calls =
-      g_enlarged_split_calls.load(std::memory_order_relaxed);
-  return c;
-}
-
-TransformCounters TransformCountersDelta(const TransformCounters& before,
-                                         const TransformCounters& after) {
-  TransformCounters d;
-  d.project_calls = after.project_calls - before.project_calls;
-  d.split_calls = after.split_calls - before.split_calls;
-  d.replicate_f1_calls = after.replicate_f1_calls - before.replicate_f1_calls;
-  d.replicate_f2_calls = after.replicate_f2_calls - before.replicate_f2_calls;
-  d.enlarged_split_calls =
-      after.enlarged_split_calls - before.enlarged_split_calls;
-  return d;
 }
 
 }  // namespace mwsj

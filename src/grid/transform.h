@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/effects.h"
+#include "common/work_counters.h"
 #include "geometry/rect.h"
 #include "grid/grid_partition.h"
 
@@ -75,34 +76,28 @@ MWSJ_ALLOC_FREE MWSJ_DETERMINISTIC void EnlargedSplitCells(
 /// Number of cells f1 would produce, without materializing them.
 int64_t CountReplicateF1Cells(const GridPartition& grid, const Rect& u);
 
-/// Cumulative process-wide call counts of the transform operations above,
-/// one relaxed atomic increment per call — cheap enough to stay always-on.
-/// Observability support: algorithms snapshot these around a map-reduce
-/// job and attach the per-pass deltas (`TransformCountersDelta`) to the
-/// job's trace span, making the grid-transform activity of each pass
-/// visible alongside its wall time. Under concurrent *independent* joins
-/// in one process the deltas blend both runs; within one run (the only
-/// case the tracer reports) they are exact.
-///
-/// These are *executed-work* tallies, deliberately not exactly-once:
-/// under fault injection a re-executed or speculative task attempt bumps
-/// them again, so deltas measure retry amplification, not logical output.
-/// Exactly-once quantities belong in JobStats user counters via the
-/// engine's attempt-scoped Emitter/OutEmitter counters.
-struct TransformCounters {
-  int64_t project_calls = 0;
-  int64_t split_calls = 0;
-  int64_t replicate_f1_calls = 0;
-  int64_t replicate_f2_calls = 0;
-  int64_t enlarged_split_calls = 0;
-};
+/// Each transform above counts its call into the calling thread's current
+/// work block (common/work_counters.h): a plain load and store to memory
+/// the thread owns. Per job, MapReduceJob reports the committed attempts'
+/// counts as JobStats::work (exactly-once, attributable under concurrent
+/// jobs); the snapshot below is the process-wide *executed-work* total,
+/// which also counts discarded and speculative task attempts, so deltas
+/// measure retry amplification and blend concurrently running jobs.
+/// The transform fields are `project_calls`, `split_calls` (which an
+/// enlarged split also bumps), `replicate_f1_calls`, `replicate_f2_calls`
+/// and `enlarged_split_calls`.
+using TransformCounters = WorkCounters;
 
-/// Current cumulative counts (relaxed reads).
-TransformCounters SnapshotTransformCounters();
+/// Current process-wide executed-work totals.
+inline TransformCounters SnapshotTransformCounters() {
+  return SnapshotWorkCounters();
+}
 
 /// Per-field difference `after - before` of two snapshots.
-TransformCounters TransformCountersDelta(const TransformCounters& before,
-                                         const TransformCounters& after);
+inline TransformCounters TransformCountersDelta(
+    const TransformCounters& before, const TransformCounters& after) {
+  return WorkCountersDelta(before, after);
+}
 
 }  // namespace mwsj
 

@@ -6,6 +6,8 @@
 #include <string>
 #include <vector>
 
+#include "common/work_counters.h"
+
 namespace mwsj {
 
 /// Fault-recovery accounting for one engine phase (map or reduce) of one
@@ -118,6 +120,13 @@ struct JobStats {
   /// User-defined counters (e.g. "rectangles_marked" in C-Rep round 1).
   /// Exactly-once under faults: failed attempts' increments are discarded.
   std::map<std::string, int64_t> user_counters;
+
+  /// Kernel work (cell transforms, ownership checks) of the job's
+  /// committed map and reduce attempts — exactly-once like user_counters,
+  /// and attributed to this job even when others share the pool. The
+  /// process-wide SnapshotWorkCounters() deltas additionally count
+  /// discarded attempts.
+  WorkCounters work;
 
   /// Fault-recovery accounting per phase; all-zero without a fault plan.
   PhaseFaultStats map_faults;

@@ -23,6 +23,7 @@
 #include "common/thread_annotations.h"
 #include "common/thread_pool.h"
 #include "common/trace.h"
+#include "common/work_counters.h"
 #include "mapreduce/counters.h"
 #include "mapreduce/dfs.h"
 #include "mapreduce/spill.h"
@@ -97,16 +98,20 @@ class MapReduceJob {
   /// The emitter is scoped to one task *attempt*: counter increments land
   /// in an attempt-local map the engine merges into JobStats only when the
   /// attempt commits, so a crashed or discarded attempt's counts vanish
-  /// with its emits (exactly-once under fault injection).
+  /// with its emits (exactly-once under fault injection). Kernel work
+  /// counted during the attempt (common/work_counters.h) is scoped the
+  /// same way and reaches JobStats::work only on commit.
   class Emitter {
    public:
     Emitter(std::vector<std::pair<K, V>>* pairs, std::vector<uint32_t>* route,
             const PartitionFn* partition, const SizeFn* value_size,
             const std::string* job_name, int num_reducers,
-            std::map<std::string, int64_t>* counters, int64_t job_id = -1)
+            std::map<std::string, int64_t>* counters,
+            std::vector<K>* scratch_keys, int64_t job_id = -1)
         : pairs_(pairs), route_(route), partition_(partition),
           value_size_(value_size), job_name_(job_name),
-          num_reducers_(num_reducers), counters_(counters), job_id_(job_id) {}
+          num_reducers_(num_reducers), counters_(counters),
+          scratch_keys_(scratch_keys), job_id_(job_id) {}
     /// MWSJ_DETERMINISTIC: the emit stream is the byte-identity contract —
     /// everything transitively feeding it must be order-deterministic.
     MWSJ_DETERMINISTIC void Emit(K key, V value) {
@@ -142,6 +147,15 @@ class MapReduceJob {
       (*counters_)[name] += delta;
     }
 
+    /// An empty key buffer owned by the map task and reused across its
+    /// records — for map functions that route one record to several keys
+    /// (the transforms' caller-owned cell vector). Its contents are
+    /// invalidated by the next call.
+    std::vector<K>& ScratchKeys() {
+      scratch_keys_->clear();
+      return *scratch_keys_;
+    }
+
     int64_t bytes() const { return bytes_; }
 
    private:
@@ -152,6 +166,7 @@ class MapReduceJob {
     const std::string* job_name_;
     int num_reducers_;
     std::map<std::string, int64_t>* counters_;
+    std::vector<K>* scratch_keys_;
     int64_t job_id_ = -1;
     int64_t bytes_ = 0;
   };
@@ -384,6 +399,7 @@ JobStats MapReduceJob<In, K, V, Out>::Run(std::span<const In> input,
     int64_t records = 0;                 // pairs.size() at commit (pairs may spill).
     int64_t bytes = 0;
     double seconds = 0;
+    WorkCounters work;       // The committed attempt's kernel work.
     PhaseFaultStats faults;  // This task's attempt/retry accounting.
     // Budget mode only:
     std::vector<int64_t> bucket_bytes;  // Per-reducer intermediate bytes.
@@ -567,16 +583,19 @@ JobStats MapReduceJob<In, K, V, Out>::Run(std::span<const In> input,
     const size_t hi = std::min(input.size(), lo + chunk_size);
     // One attempt over the first `limit` records of the chunk (a flaky
     // attempt dies midway; committing attempts process everything). The
-    // attempt's emits and counter deltas live entirely in the caller's
-    // buffers, so discarding an attempt is dropping its buffers.
+    // attempt's emits, counter deltas and kernel work live entirely in the
+    // caller's buffers, so discarding an attempt is dropping its buffers.
+    std::vector<K> scratch_keys;  // Emitter::ScratchKeys, reused per task.
     auto run_attempt = [&](size_t limit, std::vector<std::pair<K, V>>* raw,
                            std::vector<uint32_t>* route,
-                           std::map<std::string, int64_t>* counters) {
+                           std::map<std::string, int64_t>* counters,
+                           WorkCounters* work) {
       // Most maps emit ≥1 pair per record; pre-sizing halves growth moves.
       raw->reserve(hi - lo);
       route->reserve(hi - lo);
       Emitter emitter(raw, route, &partition, &value_size, &name_,
-                      num_reducers_, counters, job_id);
+                      num_reducers_, counters, &scratch_keys, job_id);
+      WorkCountersScope work_scope(work);
       for (size_t i = lo; i < lo + limit; ++i) map_(input[i], emitter);
       return emitter.bytes();
     };
@@ -598,8 +617,9 @@ JobStats MapReduceJob<In, K, V, Out>::Run(std::span<const In> input,
           std::vector<std::pair<K, V>> raw;
           std::vector<uint32_t> route;
           std::map<std::string, int64_t> counters;
+          WorkCounters work;
           shard.faults.wasted_bytes +=
-              run_attempt((hi - lo) / 2, &raw, &route, &counters);
+              run_attempt((hi - lo) / 2, &raw, &route, &counters, &work);
           shard.faults.wasted_records += static_cast<int64_t>(raw.size());
         }
         shard.faults.wasted_seconds += attempt_watch.ElapsedSeconds();
@@ -618,7 +638,11 @@ JobStats MapReduceJob<In, K, V, Out>::Run(std::span<const In> input,
       std::vector<std::pair<K, V>> raw;
       std::vector<uint32_t> route;
       std::map<std::string, int64_t> counters;
-      shard.bytes = run_attempt(hi - lo, &raw, &route, &counters);
+      // Attempts count into stack blocks: blocks of neighbouring tasks
+      // in one array would share cache lines between workers.
+      WorkCounters work;
+      shard.bytes = run_attempt(hi - lo, &raw, &route, &counters, &work);
+      shard.work = work;
       chunk_span.AddArg("chunk", static_cast<int64_t>(c));
       chunk_span.AddArg("records", static_cast<int64_t>(raw.size()));
       if (faults != nullptr) {
@@ -653,8 +677,9 @@ JobStats MapReduceJob<In, K, V, Out>::Run(std::span<const In> input,
         std::vector<std::pair<K, V>> spec_raw;
         std::vector<uint32_t> spec_route;
         std::map<std::string, int64_t> spec_counters;
-        shard.faults.wasted_bytes +=
-            run_attempt(hi - lo, &spec_raw, &spec_route, &spec_counters);
+        WorkCounters spec_work;
+        shard.faults.wasted_bytes += run_attempt(
+            hi - lo, &spec_raw, &spec_route, &spec_counters, &spec_work);
         shard.faults.wasted_records += static_cast<int64_t>(spec_raw.size());
         shard.faults.wasted_seconds += spec_watch.ElapsedSeconds();
         ++shard.faults.attempts;
@@ -679,6 +704,7 @@ JobStats MapReduceJob<In, K, V, Out>::Run(std::span<const In> input,
     stats.intermediate_records += shards[c].records;
     stats.intermediate_bytes += shards[c].bytes;
     stats.per_chunk_map_seconds[c] = shards[c].seconds;
+    stats.work.Add(shards[c].work);
     stats.map_faults.Add(shards[c].faults);
     stats.spill.Add(shards[c].spill);
   }
@@ -787,6 +813,8 @@ JobStats MapReduceJob<In, K, V, Out>::Run(std::span<const In> input,
   stats.per_reducer_seconds.assign(static_cast<size_t>(num_reducers_), 0.0);
   std::vector<PhaseFaultStats> reduce_task_faults(
       static_cast<size_t>(num_reducers_));
+  std::vector<WorkCounters> reduce_task_work(
+      static_cast<size_t>(num_reducers_));  // Committed attempts only.
 
   // Budget mode: rebuild reducer r's inbox by k-way merging its bucket
   // column — in-memory sorted buckets are moved out of their shards,
@@ -945,6 +973,8 @@ JobStats MapReduceJob<In, K, V, Out>::Run(std::span<const In> input,
       std::vector<Out> scratch;
       std::map<std::string, int64_t> counters;
       OutEmitter out(&scratch, &counters);
+      WorkCounters work;
+      WorkCountersScope work_scope(&work);
       if (std::is_sorted(in.keys.begin(), in.keys.end())) {
         reduce_runs(in.keys.data(), in.values.data(), limit, out);
       } else if constexpr (std::is_copy_constructible_v<K> &&
@@ -1031,6 +1061,8 @@ JobStats MapReduceJob<In, K, V, Out>::Run(std::span<const In> input,
       Stopwatch reducer_watch;
       std::map<std::string, int64_t> counters;
       OutEmitter out_emitter(&reducer_out[r], &counters);
+      WorkCounters work;  // On the stack, as in the map phase.
+      WorkCountersScope work_scope(&work);
       if (std::is_sorted(in.keys.begin(), in.keys.end())) {
         // Fast path: arrival order is already key-sorted — always true for
         // the spatial algorithms' identity partitioner, where a reducer
@@ -1073,6 +1105,7 @@ JobStats MapReduceJob<In, K, V, Out>::Run(std::span<const In> input,
       }
       stats.per_reducer_seconds[r] = reducer_watch.ElapsedSeconds();
       MergeCounters(counters);
+      reduce_task_work[r] = work;
       break;
     }
   };
@@ -1091,6 +1124,7 @@ JobStats MapReduceJob<In, K, V, Out>::Run(std::span<const In> input,
   for (const PhaseFaultStats& rf : reduce_task_faults) {
     stats.reduce_faults.Add(rf);
   }
+  for (const WorkCounters& w : reduce_task_work) stats.work.Add(w);
   for (const int64_t w : merge_widths) {
     stats.spill.merge_runs_max = std::max(stats.spill.merge_runs_max, w);
   }

@@ -48,7 +48,7 @@ StatusOr<ContainmentResult> ContainmentJoin(const GridPartition& grid,
       // overlaps the point's (closed) owner cell and is Split to it.
       emit.Emit(grid.CellOfRect(item.rect), item);
     } else {
-      std::vector<CellId> cells;
+      std::vector<CellId>& cells = emit.ScratchKeys();
       SplitCells(grid, item.rect, &cells);
       for (CellId c : cells) emit.Emit(c, item);
     }

@@ -71,7 +71,7 @@ StatusOr<KnnResult> KnnJoin(const GridPartition& grid,
     if (item.is_point) {
       emit.Emit(grid.CellOfRect(item.rect), item);
     } else {
-      std::vector<CellId> cells;
+      std::vector<CellId>& cells = emit.ScratchKeys();
       SplitCells(grid, item.rect, &cells);
       for (CellId c : cells) emit.Emit(c, item);
     }
@@ -118,7 +118,7 @@ StatusOr<KnnResult> KnnJoin(const GridPartition& grid,
   ProbeJob probe_job("knn_round2_probe", grid.num_cells());
   probe_job.set_partition([](const CellId& c) { return static_cast<int>(c); });
   probe_job.set_map([&grid](const Item& item, ProbeJob::Emitter& emit) {
-    std::vector<CellId> cells;
+    std::vector<CellId>& cells = emit.ScratchKeys();
     if (!item.is_point) {
       SplitCells(grid, item.rect, &cells);
     } else if (std::isinf(item.radius)) {

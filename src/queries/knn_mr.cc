@@ -155,7 +155,7 @@ StatusOr<JoinRunResult> ExecuteKnnJoinMr(
       if (item.relation == 0) {
         emit.Emit(grid.CellOfRect(item.rect), item);
       } else {
-        std::vector<CellId> cells;
+        std::vector<CellId>& cells = emit.ScratchKeys();
         SplitCells(grid, item.rect, &cells);
         for (CellId c : cells) emit.Emit(c, item);
       }
@@ -246,7 +246,7 @@ StatusOr<JoinRunResult> ExecuteKnnJoinMr(
   JoinJob join_job("knn_mr_round2_join", grid.num_cells());
   join_job.set_partition([](const CellId& c) { return static_cast<int>(c); });
   join_job.set_map([&grid](const KnnRouted& item, JoinJob::Emitter& emit) {
-    std::vector<CellId> cells;
+    std::vector<CellId>& cells = emit.ScratchKeys();
     if (item.relation != 0) {
       SplitCells(grid, item.rect, &cells);
       emit.IncrementCounter(kCounterKnnRectCopies,
@@ -262,16 +262,12 @@ StatusOr<JoinRunResult> ExecuteKnnJoinMr(
     } else {
       emit.IncrementCounter(kCounterKnnBoundedPoints, 1);
       // EnlargedSplitCells covers the L-infinity box around the bound;
-      // the Euclidean cell-distance test trims its corner cells.
-      std::vector<CellId> box;
-      EnlargedSplitCells(grid, item.rect, item.bound, &box);
-      cells.reserve(box.size());
-      for (CellId c : box) {
-        if (CellRectDistance(grid, c, item.rect,
-                             DistanceMetric::kEuclidean) <= item.bound) {
-          cells.push_back(c);
-        }
-      }
+      // the Euclidean cell-distance test trims its corner cells in place.
+      EnlargedSplitCells(grid, item.rect, item.bound, &cells);
+      std::erase_if(cells, [&](CellId c) {
+        return !(CellRectDistance(grid, c, item.rect,
+                                  DistanceMetric::kEuclidean) <= item.bound);
+      });
     }
     emit.IncrementCounter(kCounterKnnPointCopies,
                           static_cast<int64_t>(cells.size()));

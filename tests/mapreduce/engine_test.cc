@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 
@@ -46,6 +47,35 @@ TEST(EngineTest, WordCount) {
 }
 
 using IntJob = MapReduceJob<int, int, int, std::pair<int, int>>;
+
+TEST(EngineTest, ScratchKeysStartEmptyForEveryRecord) {
+  std::vector<int> input(200);
+  for (int i = 0; i < 200; ++i) input[static_cast<size_t>(i)] = i;
+  IntJob job("scratch_keys", 8);
+  job.set_partition([](const int& k) { return k % 8; });
+  job.set_map([](const int& v, IntJob::Emitter& emit) {
+    std::vector<int>& keys = emit.ScratchKeys();
+    EXPECT_TRUE(keys.empty());
+    keys.push_back(v);
+    keys.push_back(v + 1000);
+    for (int k : keys) emit.Emit(k, v);
+  });
+  job.set_reduce([](const int& k, std::span<const int> vals,
+                    IntJob::OutEmitter& out) {
+    for (int v : vals) out.Emit({k, v});
+  });
+  std::vector<std::pair<int, int>> output;
+  const JobStats stats = job.Run(std::span<const int>(input), &output);
+  EXPECT_EQ(stats.intermediate_records, 400);
+  std::sort(output.begin(), output.end());
+  std::vector<std::pair<int, int>> expected;
+  for (int v : input) {
+    expected.emplace_back(v, v);
+    expected.emplace_back(v + 1000, v);
+  }
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(output, expected);
+}
 
 TEST(EngineTest, IdentityPartitionRoutesKeyToReducer) {
   const std::vector<int> input = {0, 1, 2, 3, 0, 1};

@@ -63,6 +63,10 @@ std::string CompareJobStats(const RunStats& baseline, const RunStats& faulted) {
       return StrFormat("job '%s' has extra counters under faults",
                        b.job_name.c_str());
     }
+    if (b.work != f.work) {
+      return StrFormat("job '%s' committed kernel work diverged under faults",
+                       b.job_name.c_str());
+    }
   }
   return "";
 }

@@ -105,9 +105,10 @@ DifferentialOutcome RunDifferentialWorld(const DifferentialWorkload& workload,
                                          const DifferentialOptions& options);
 
 /// First divergence between two runs' job statistics, or "" when they are
-/// byte-identical in every exactly-once quantity (fault accounting is
-/// deliberately excluded — it is *supposed* to differ). Shared by this
-/// harness and the scheduler chaos layer.
+/// byte-identical in every exactly-once quantity, committed kernel work
+/// (JobStats::work) included (fault accounting is deliberately excluded —
+/// it is *supposed* to differ). Shared by this harness and the scheduler
+/// chaos layer.
 std::string CompareJobStats(const RunStats& baseline, const RunStats& faulted);
 
 }  // namespace mwsj::testing

@@ -31,6 +31,7 @@ DIAG_RE = re.compile(
 # fixture (relative to the fixture root) -> the one rule it violates.
 BAD_FIXTURES = {
     "alloc_free_bad.cc": "alloc-free-reach",
+    "shared_write_bad.cc": "shared-write-reach",
     "emit_determinism_bad.cc": "emit-determinism",
     "blocking_bad.cc": "blocking-reach",
     "lock_order_bad.cc": "lock-order",
@@ -40,6 +41,8 @@ BAD_FIXTURES = {
 CLEAN_FIXTURES = [
     "alloc_free_clean.cc",
     "alloc_free_suppressed.cc",
+    "shared_write_clean.cc",
+    "shared_write_suppressed.cc",
     "emit_determinism_clean.cc",
     "emit_determinism_suppressed.cc",
     "blocking_clean.cc",
@@ -182,11 +185,11 @@ class MwsjCheckFixtureTest(unittest.TestCase):
                          f"src/ has unbaselined findings:\n{proc.stdout}"
                          f"{proc.stderr}")
 
-    def test_list_rules_names_all_four_graph_rules(self):
+    def test_list_rules_names_all_five_graph_rules(self):
         proc = run_check("--list-rules")
         self.assertEqual(proc.returncode, 0)
-        for rule in ("alloc-free-reach", "emit-determinism",
-                     "blocking-reach", "lock-order"):
+        for rule in ("alloc-free-reach", "shared-write-reach",
+                     "emit-determinism", "blocking-reach", "lock-order"):
             self.assertIn(rule, proc.stdout)
 
 

@@ -3,7 +3,7 @@
 
 Where tools/mwsj_lint.py matches single lines against regexes, this tool
 builds a whole-program call graph over the effect annotations declared in
-src/common/effects.h and propagates four invariants across it (rule table:
+src/common/effects.h and propagates five invariants across it (rule table:
 tools/mwsj_check_rules.md; architecture: DESIGN.md section 2.15):
 
   alloc-free-reach   An MWSJ_ALLOC_FREE function must not transitively
@@ -14,6 +14,11 @@ tools/mwsj_check_rules.md; architecture: DESIGN.md section 2.15):
                      iterate an unordered container, sort by raw pointer
                      value, or touch RNG outside src/common/ — the static
                      form of the PR-1 plane-sweep tie-break bug class.
+  shared-write-reach An MWSJ_ALLOC_FREE function must not transitively
+                     reach an atomic read-modify-write (fetch_add,
+                     fetch_sub, exchange, compare_exchange*): per-record
+                     kernels count into thread-owned blocks, never into a
+                     cache line every worker contends on.
   blocking-reach     An MWSJ_BLOCKING function (Dfs I/O, CondVar waits,
                      pool joins) must be unreachable from MWSJ_ALLOC_FREE
                      / MWSJ_DETERMINISTIC functions except through an
@@ -67,6 +72,9 @@ RULES = {
     "alloc-free-reach":
         "MWSJ_ALLOC_FREE functions may not transitively reach operator "
         "new/malloc/make_unique or growing-container calls",
+    "shared-write-reach":
+        "MWSJ_ALLOC_FREE functions may not transitively reach an atomic "
+        "read-modify-write (fetch_add/fetch_sub/exchange/compare_exchange*)",
     "emit-determinism":
         "MWSJ_DETERMINISTIC functions may not transitively iterate "
         "unordered containers, sort by pointer value, or use RNG outside "
@@ -233,6 +241,7 @@ class FunctionInfo:
     alloc_sites: list = field(default_factory=list)        # (line, what)
     nondet_sites: list = field(default_factory=list)       # (line, what)
     blocking_sites: list = field(default_factory=list)     # (line, what)
+    rmw_sites: list = field(default_factory=list)          # (line, what)
     lock_events: list = field(default_factory=list)        # see scan_locks
 
 
@@ -685,6 +694,11 @@ RNG_RE = re.compile(
 SORT_RE = re.compile(r"\b(?:std\s*::\s*)?(?:stable_)?sort\s*\(")
 LAMBDA_RE = re.compile(r"\[[^\]\[]*\]\s*\(([^)]*)\)\s*(?:->\s*\w+\s*)?\{")
 PTR_PARAM_RE = re.compile(r"\*\s*(?:const\s+)?([A-Za-z_]\w*)\s*$")
+# Atomic read-modify-writes, as member calls (`x.fetch_add(1)`) or through
+# the free-function forms (`std::atomic_fetch_add(&x, 1)`).
+ATOMIC_RMW_RE = re.compile(
+    r"(?:(?:\.|->)\s*|\batomic_)(fetch_(?:add|sub|and|or|xor)|exchange|"
+    r"compare_exchange_(?:weak|strong))(?:_explicit)?\s*\(")
 BLOCKING_INTRINSIC_RE = re.compile(
     r"\bsleep_(?:for|until)\s*\(|(?:\.|->)\s*join\s*\(")
 
@@ -740,6 +754,10 @@ def scan_features(fn: FunctionInfo, fi: FileInfo, in_common: bool) -> None:
                  f"RNG '{m.group(0)}' outside src/common/"))
     for line, what in scan_ptr_sorts(text, line_of):
         fn.nondet_sites.append((line, what))
+    for m in ATOMIC_RMW_RE.finditer(text):
+        fn.rmw_sites.append(
+            (line_of(m.start()), f"atomic read-modify-write "
+                                 f"'{m.group(1)}'"))
     for m in BLOCKING_INTRINSIC_RE.finditer(text):
         fn.blocking_sites.append(
             (line_of(m.start()), f"blocking call '{m.group(0).strip()}'"))
@@ -986,6 +1004,7 @@ class Analyzer:
 
     def run(self):
         self.rule_alloc_free_reach()
+        self.rule_shared_write_reach()
         self.rule_emit_determinism()
         self.rule_blocking_reach()
         self.rule_lock_order()
@@ -1011,6 +1030,17 @@ class Analyzer:
                     via = "" if fn is root else \
                         f" via {' -> '.join(path)}"
                     self.add(fn.rel, line, "alloc-free-reach",
+                             f"{what} reachable from MWSJ_ALLOC_FREE "
+                             f"'{root.qual}'{via}", fn.qual)
+
+    def rule_shared_write_reach(self):
+        roots = [f for f in self.r.functions if "alloc_free" in f.annotations]
+        for root in roots:
+            for fn, path, _entry in self.reachable(root):
+                for line, what in fn.rmw_sites:
+                    via = "" if fn is root else \
+                        f" via {' -> '.join(path)}"
+                    self.add(fn.rel, line, "shared-write-reach",
                              f"{what} reachable from MWSJ_ALLOC_FREE "
                              f"'{root.qual}'{via}", fn.qual)
 
