@@ -1,40 +1,18 @@
 // Micro-benchmarks for the reducer-side join kernels: STR R-tree build and
 // probe, plane sweep, and the multiway backtracking join.
 //
-// This binary replaces the global operator new/delete with counting
-// wrappers so probe benchmarks can assert the steady state performs zero
-// heap allocations per query (reported as the `allocs_per_*` counters).
+// This binary links the shared counting allocator (testing/counting_new.h)
+// so probe benchmarks can assert the steady state performs zero heap
+// allocations per query (reported as the `allocs_per_*` counters).
 
 #include <benchmark/benchmark.h>
-
-#include <atomic>
-#include <cstdlib>
-#include <new>
 
 #include "common/random.h"
 #include "localjoin/multiway.h"
 #include "localjoin/plane_sweep.h"
 #include "localjoin/rtree.h"
 #include "query/query.h"
-
-namespace {
-std::atomic<int64_t> g_heap_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#include "testing/counting_new.h"
 
 namespace mwsj {
 namespace {
@@ -112,9 +90,9 @@ void BM_RTreeQuery(benchmark::State& state) {
   size_t i = 0;
   for (auto _ : state) {
     out.clear();
-    const int64_t before = g_heap_allocs.load(std::memory_order_relaxed);
+    const int64_t before = testing::HeapAllocs();
     tree.CollectOverlapping(probes[i & 511], &scratch, &out);
-    allocs += g_heap_allocs.load(std::memory_order_relaxed) - before;
+    allocs += testing::HeapAllocs() - before;
     benchmark::DoNotOptimize(out.data());
     ++i;
   }
@@ -185,9 +163,9 @@ void BM_MultiwayLocalJoinExecute(benchmark::State& state) {
   int64_t allocs = 0;
   for (auto _ : state) {
     int64_t count = 0;
-    const int64_t before = g_heap_allocs.load(std::memory_order_relaxed);
+    const int64_t before = testing::HeapAllocs();
     join.Execute([&count](const std::vector<const LocalRect*>&) { ++count; });
-    allocs += g_heap_allocs.load(std::memory_order_relaxed) - before;
+    allocs += testing::HeapAllocs() - before;
     benchmark::DoNotOptimize(count);
   }
   state.counters["allocs_per_exec"] = benchmark::Counter(

@@ -79,6 +79,46 @@ void BM_MarkingOracleChain4(benchmark::State& state) {
 }
 BENCHMARK(BM_MarkingOracleChain4)->Arg(100)->Arg(1000);
 
+// A roads-shaped reducer view: `per_relation` small rectangles (1-15 on a
+// side, like the California roads against an 8x8 grid) in each of three
+// relations, all starting in one 1000x1000 cell, of which about 1.5%
+// straddle one of its sides. Almost every rectangle is C2-ineligible for
+// every subset, which is the common case of the paper's §7.8 workloads.
+CellWorld MakeRoadsCellWorld(int per_relation, uint64_t seed) {
+  const Rect space(0, 0, 8000, 8000);
+  CellWorld world{GridPartition::Create(space, 8, 8).value(), 0, {}};
+  world.cell = world.grid.CellIdOf(3, 3);
+  const Rect cell_rect = world.grid.CellRect(world.cell);
+  Rng rng(seed);
+  world.rects.resize(3);
+  for (auto& relation : world.rects) {
+    for (int i = 0; i < per_relation; ++i) {
+      const double l = rng.Uniform(1, 15);
+      const double b = rng.Uniform(1, 15);
+      double x = rng.Uniform(cell_rect.min_x(), cell_rect.max_x() - l);
+      const double y = rng.Uniform(cell_rect.min_y() + b, cell_rect.max_y());
+      // Crossers straddle the right side: they still start in the cell.
+      if (rng.Bernoulli(0.015)) x = cell_rect.max_x() - l / 2;
+      relation.push_back(
+          LocalRect{Rect::FromXYLB(x, y, l, b), static_cast<int64_t>(i)});
+    }
+  }
+  return world;
+}
+
+void BM_MarkingOracleRoadsCell(benchmark::State& state) {
+  const Query query = MakeChainQuery(3, Predicate::Overlap()).value();
+  const CellWorld world =
+      MakeRoadsCellWorld(static_cast<int>(state.range(0)), 5);
+  for (auto _ : state) {
+    auto marked =
+        MarkRectanglesForCell(query, world.grid, world.cell, world.rects);
+    benchmark::DoNotOptimize(marked.data());
+  }
+  state.SetItemsProcessed(state.iterations() * 3 * state.range(0));
+}
+BENCHMARK(BM_MarkingOracleRoadsCell)->Arg(3000);
+
 }  // namespace
 }  // namespace mwsj
 

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <limits>
 #include <memory>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "common/trace.h"
 #include "core/dedup.h"
@@ -39,225 +37,285 @@ double ForeignCellDistance(const GridPartition& grid, CellId cell,
 }
 
 // Evaluates the witness-set search of conditions C1-C3 for one cell.
+//
+// C2 eligibility of a rectangle depends only on its relation, whether the
+// subset requires it to cross the cell boundary (an overlap edge leaves
+// the subset) and the smallest d among the range edges that leave it. The
+// oracle keeps one eligible-index list per such key and, the first time a
+// binding probes it, an R-tree over just those rectangles — the relation's
+// full tree, shared, when every rectangle is eligible. Probe candidates
+// are therefore eligible by construction and only C1 remains to check.
 class MarkingOracle {
  public:
   MarkingOracle(const Query& query, const GridPartition& grid, CellId cell,
                 const std::vector<std::vector<LocalRect>>& rects)
-      : query_(query),
-        grid_(grid),
-        cell_(cell),
-        cell_rect_(grid.CellRect(cell)),
-        rects_(rects) {
+      : query_(query), grid_(grid), cell_(cell), rects_(rects) {
     const size_t m = static_cast<size_t>(query.num_relations());
+    bool has_range = false;
+    for (const JoinCondition& c : query.conditions()) {
+      has_range = has_range || c.predicate.is_range();
+    }
+    const Rect cell_rect = grid_.CellRect(cell_);
     crossing_.resize(m);
     foreign_dist_.resize(m);
-    trees_.resize(m);
+    full_trees_.resize(m);
+    assigned_.resize(m);
     candidate_buffers_.resize(m);
     for (size_t r = 0; r < m; ++r) {
       const auto& list = rects_[r];
       crossing_[r].resize(list.size());
-      foreign_dist_[r].resize(list.size());
-      std::vector<Rect> geo;
-      geo.reserve(list.size());
+      if (has_range) foreign_dist_[r].resize(list.size());
       for (size_t i = 0; i < list.size(); ++i) {
         // A rectangle contained in the closed cell cannot meet any
         // rectangle that is disjoint from the closed cell, so "crosses the
         // boundary" is implemented as "not contained in the closed cell" —
         // equivalent to the paper's condition for every configuration that
         // can produce output, and never replicating more.
-        crossing_[r][i] = !cell_rect_.Contains(list[i].rect);
-        foreign_dist_[r][i] =
-            ForeignCellDistance(grid_, cell_, cell_rect_, list[i].rect);
-        geo.push_back(list[i].rect);
+        crossing_[r][i] = !cell_rect.Contains(list[i].rect);
+        if (has_range) {
+          foreign_dist_[r][i] =
+              ForeignCellDistance(grid_, cell_, cell_rect, list[i].rect);
+        }
       }
-      trees_[r] = std::make_unique<RTree>(geo);
     }
   }
 
-  /// True when some rectangle-set containing rects_[rel][idx] satisfies
-  /// C1-C3 at this cell.
-  bool IsMarked(int rel, size_t idx) {
+  /// Returns per-relation flags, index-aligned with the oracle's input:
+  /// flag i of relation r is set iff rects[r][i] starts in the cell and
+  /// some rectangle-set containing it satisfies C1-C3 there.
+  std::vector<std::vector<char>> Mark() {
+    // Rectangles starting in another cell are never decided here; they
+    // carry kElsewhere until the end so the subset loop skips them along
+    // with the rectangles already marked.
+    constexpr char kElsewhere = 2;
     const int m = query_.num_relations();
-    const uint32_t full = (1u << m) - 1;
-    // Subsets containing `rel`, excluding the full set (C3 would fail: a
-    // connected graph leaves no inside/outside condition).
-    for (uint32_t subset = 1; subset < full; ++subset) {
-      if ((subset & (1u << rel)) == 0) continue;
-      if (WitnessInSubset(subset, rel, idx)) return true;
+    std::vector<std::vector<char>> marked(static_cast<size_t>(m));
+    for (size_t r = 0; r < marked.size(); ++r) {
+      marked[r].resize(rects_[r].size());
+      for (size_t i = 0; i < rects_[r].size(); ++i) {
+        marked[r][i] = grid_.CellOfRect(rects_[r][i].rect) != cell_
+                           ? kElsewhere
+                           : 0;
+      }
     }
-    return false;
+    // Subset-major over proper subsets (C3 fails on the full set, whose
+    // connected graph leaves no inside/outside condition).
+    const uint32_t full = (1u << m) - 1;
+    std::vector<int> slots(static_cast<size_t>(m), -1);
+    for (uint32_t subset = 1; subset < full; ++subset) {
+      if (!ResolveSlots(subset, &slots)) continue;
+      for (int fixed = 0; fixed < m; ++fixed) {
+        if ((subset & (1u << fixed)) == 0) continue;
+        BuildPlan(subset, fixed, slots);
+        const size_t f = static_cast<size_t>(fixed);
+        // Iterating the fixed relation's eligible list checks the fixed
+        // rectangle's C2 before any other work.
+        for (const int32_t i : indices_[static_cast<size_t>(slots[f])].ids) {
+          char& flag = marked[f][static_cast<size_t>(i)];
+          if (flag != 0) continue;
+          assigned_[f] = i;
+          if (Bind(1)) flag = 1;
+        }
+      }
+    }
+    for (auto& flags : marked) {
+      for (char& flag : flags) flag = flag == 1 ? 1 : 0;
+    }
+    return marked;
   }
 
  private:
-  // Per-subset facts, computed once per cell and shared across every
-  // marking decision at that cell: the C2 boundary requirements of each
-  // subset relation, and the indices of its C2-eligible rectangles.
-  struct SubsetInfo {
-    // Indexed by relation; empty vectors for relations outside the subset.
-    std::vector<std::vector<const Predicate*>> requirements;
-    std::vector<std::vector<int32_t>> eligible;
+  // The rectangles of one relation eligible under one C2 requirement key.
+  struct EligibleIndex {
+    int rel = 0;
+    bool needs_crossing = false;
+    double max_foreign_dist = 0;  // +inf when no range edge leaves.
+    std::vector<int32_t> ids;
+    // Built on first probe over the rectangles of `ids`, so tree slot j is
+    // rectangle ids[j]. Points at full_trees_[rel] when `ids` covers the
+    // whole relation, else at `own`.
+    const RTree* tree = nullptr;
+    std::unique_ptr<RTree> own;
   };
 
-  const SubsetInfo& GetSubsetInfo(uint32_t subset) {
-    auto it = subset_cache_.find(subset);
-    if (it != subset_cache_.end()) return it->second;
-    SubsetInfo info;
-    const size_t m = static_cast<size_t>(query_.num_relations());
-    info.requirements.resize(m);
-    info.eligible.resize(m);
-    for (int r = 0; r < static_cast<int>(m); ++r) {
+  // One relation of a binding plan. Every relation bound earlier is
+  // assigned, so its C1 checks are fixed per depth.
+  struct Step {
+    int rel = 0;
+    int slot = 0;
+    // Induced conditions to earlier relations, as (condition, other). The
+    // first is the one probed through; with none, the relation is
+    // disconnected from those bound before it and its eligible list is
+    // scanned instead.
+    std::vector<std::pair<const JoinCondition*, int>> checks;
+  };
+
+  // Maps each relation of `subset` to the eligibility slot of its C2
+  // requirements. Returns false when some relation has no eligible
+  // rectangle, in which case no witness exists in this subset.
+  bool ResolveSlots(uint32_t subset, std::vector<int>* slots) {
+    const int m = query_.num_relations();
+    for (int r = 0; r < m; ++r) {
       if ((subset & (1u << r)) == 0) continue;
+      bool needs_crossing = false;
+      double max_foreign_dist = std::numeric_limits<double>::infinity();
       for (int ci : query_.ConditionsOf(r)) {
         const JoinCondition& c = query_.conditions()[static_cast<size_t>(ci)];
         const int other = (c.left == r) ? c.right : c.left;
-        if ((subset & (1u << other)) == 0) {
-          info.requirements[static_cast<size_t>(r)].push_back(&c.predicate);
+        if ((subset & (1u << other)) != 0) continue;
+        if (c.predicate.is_overlap()) {
+          needs_crossing = true;
+        } else {
+          max_foreign_dist =
+              std::min(max_foreign_dist, c.predicate.distance());
         }
       }
-      const auto& reqs = info.requirements[static_cast<size_t>(r)];
-      auto& elig = info.eligible[static_cast<size_t>(r)];
-      for (size_t i = 0; i < rects_[static_cast<size_t>(r)].size(); ++i) {
-        if (Eligible(r, i, reqs)) elig.push_back(static_cast<int32_t>(i));
-      }
-    }
-    return subset_cache_.emplace(subset, std::move(info)).first->second;
-  }
-
-  // C2 eligibility of rects_[r][i] under the given boundary requirements.
-  bool Eligible(int r, size_t i,
-                const std::vector<const Predicate*>& requirements) const {
-    for (const Predicate* p : requirements) {
-      if (p->is_overlap()) {
-        if (!crossing_[static_cast<size_t>(r)][i]) return false;
-      } else {
-        if (!(foreign_dist_[static_cast<size_t>(r)][i] <= p->distance())) {
-          return false;
-        }
-      }
+      const int slot = SlotFor(r, needs_crossing, max_foreign_dist);
+      if (indices_[static_cast<size_t>(slot)].ids.empty()) return false;
+      (*slots)[static_cast<size_t>(r)] = slot;
     }
     return true;
   }
 
-  // Induced conditions of `subset` with both endpoints assigned are
-  // checked as relations bind. Returns true when a full eligible,
-  // consistent assignment over the subset's relations exists with
-  // rects_[fixed_rel][fixed_idx] pinned.
-  bool WitnessInSubset(uint32_t subset, int fixed_rel, size_t fixed_idx) {
-    // Relations of the subset, fixed relation first; remaining relations
-    // ordered so each is probed through an induced condition to an
-    // already-ordered relation when one exists (disconnected induced
-    // components fall back to full scans).
+  int SlotFor(int r, bool needs_crossing, double max_foreign_dist) {
+    for (size_t s = 0; s < indices_.size(); ++s) {
+      const EligibleIndex& index = indices_[s];
+      if (index.rel == r && index.needs_crossing == needs_crossing &&
+          index.max_foreign_dist == max_foreign_dist) {
+        return static_cast<int>(s);
+      }
+    }
+    EligibleIndex index;
+    index.rel = r;
+    index.needs_crossing = needs_crossing;
+    index.max_foreign_dist = max_foreign_dist;
+    const size_t rel = static_cast<size_t>(r);
+    const bool range_edge_leaves =
+        max_foreign_dist != std::numeric_limits<double>::infinity();
+    index.ids.reserve(rects_[rel].size());
+    for (size_t i = 0; i < rects_[rel].size(); ++i) {
+      if (needs_crossing && !crossing_[rel][i]) continue;
+      if (range_edge_leaves && !(foreign_dist_[rel][i] <= max_foreign_dist)) {
+        continue;
+      }
+      index.ids.push_back(static_cast<int32_t>(i));
+    }
+    indices_.push_back(std::move(index));
+    return static_cast<int>(indices_.size() - 1);
+  }
+
+  const RTree& TreeOf(EligibleIndex& index) {
+    if (index.tree != nullptr) return *index.tree;
+    const size_t rel = static_cast<size_t>(index.rel);
+    const auto& list = rects_[rel];
+    std::vector<Rect> geo;
+    if (index.ids.size() == list.size()) {
+      if (full_trees_[rel] == nullptr) {
+        geo.reserve(list.size());
+        for (const LocalRect& lr : list) geo.push_back(lr.rect);
+        full_trees_[rel] = std::make_unique<RTree>(geo);
+      }
+      index.tree = full_trees_[rel].get();
+    } else {
+      geo.reserve(index.ids.size());
+      for (const int32_t i : index.ids) {
+        geo.push_back(list[static_cast<size_t>(i)].rect);
+      }
+      index.own = std::make_unique<RTree>(geo);
+      index.tree = index.own.get();
+    }
+    return *index.tree;
+  }
+
+  // Orders the subset's relations for binding with `fixed` first: each
+  // next relation is one with an induced condition to an already-ordered
+  // relation when one exists (disconnected induced components fall back to
+  // eligible-list scans).
+  void BuildPlan(uint32_t subset, int fixed, const std::vector<int>& slots) {
     std::vector<int> members;
-    members.push_back(fixed_rel);
+    members.push_back(fixed);
     for (int r = 0; r < query_.num_relations(); ++r) {
-      if (r != fixed_rel && (subset & (1u << r))) members.push_back(r);
+      if (r != fixed && (subset & (1u << r))) members.push_back(r);
     }
-    // Greedy ordering by connectivity.
-    for (size_t k = 1; k < members.size(); ++k) {
-      size_t pick = k;
-      for (size_t j = k; j < members.size(); ++j) {
-        bool connected = false;
-        for (int ci : query_.ConditionsOf(members[j])) {
-          const JoinCondition& c =
-              query_.conditions()[static_cast<size_t>(ci)];
-          const int other = (c.left == members[j]) ? c.right : c.left;
-          if ((subset & (1u << other)) == 0) continue;
-          for (size_t t = 0; t < k; ++t) {
-            if (members[t] == other) connected = true;
-          }
-        }
-        if (connected) {
-          pick = j;
-          break;
+    // True when members[j] has an induced condition to members[0, k).
+    auto connected = [&](size_t j, size_t k) {
+      for (int ci : query_.ConditionsOf(members[j])) {
+        const JoinCondition& c = query_.conditions()[static_cast<size_t>(ci)];
+        const int other = (c.left == members[j]) ? c.right : c.left;
+        if (std::find(members.begin(), members.begin() + k, other) !=
+            members.begin() + k) {
+          return true;
         }
       }
-      std::swap(members[k], members[pick]);
-    }
-
-    const SubsetInfo& info = GetSubsetInfo(subset);
-    if (!Eligible(fixed_rel, fixed_idx,
-                  info.requirements[static_cast<size_t>(fixed_rel)])) {
       return false;
-    }
-
-    std::vector<int64_t> assigned(static_cast<size_t>(query_.num_relations()),
-                                  -1);
-    assigned[static_cast<size_t>(fixed_rel)] =
-        static_cast<int64_t>(fixed_idx);
-    return Bind(subset, members, info, 1, assigned);
-  }
-
-  bool ConsistentWithAssigned(uint32_t subset, int r, size_t i,
-                              const std::vector<int64_t>& assigned) const {
-    const Rect& rect = rects_[static_cast<size_t>(r)][i].rect;
-    for (int ci : query_.ConditionsOf(r)) {
-      const JoinCondition& c = query_.conditions()[static_cast<size_t>(ci)];
-      const int other = (c.left == r) ? c.right : c.left;
-      if ((subset & (1u << other)) == 0) continue;
-      const int64_t oi = assigned[static_cast<size_t>(other)];
-      if (oi < 0) continue;
-      const Rect& other_rect =
-          rects_[static_cast<size_t>(other)][static_cast<size_t>(oi)].rect;
-      if (!c.predicate.Evaluate(rect, other_rect)) return false;
-    }
-    return true;
-  }
-
-  bool Bind(uint32_t subset, const std::vector<int>& members,
-            const SubsetInfo& info, size_t depth,
-            std::vector<int64_t>& assigned) {
-    if (depth == members.size()) return true;
-    const int r = members[depth];
-
-    // Probe through an induced condition to an assigned relation if any.
-    const JoinCondition* anchor = nullptr;
-    const Rect* anchor_rect = nullptr;
-    for (int ci : query_.ConditionsOf(r)) {
-      const JoinCondition& c = query_.conditions()[static_cast<size_t>(ci)];
-      const int other = (c.left == r) ? c.right : c.left;
-      if ((subset & (1u << other)) == 0) continue;
-      const int64_t oi = assigned[static_cast<size_t>(other)];
-      if (oi < 0) continue;
-      anchor = &c;
-      anchor_rect =
-          &rects_[static_cast<size_t>(other)][static_cast<size_t>(oi)].rect;
-      break;
-    }
-
-    auto try_index = [&](size_t i) {
-      if (!Eligible(r, i, info.requirements[static_cast<size_t>(r)])) {
-        return false;
+    };
+    plan_.resize(members.size());
+    for (size_t k = 0; k < members.size(); ++k) {
+      if (k > 0) {
+        size_t pick = k;
+        while (pick < members.size() && !connected(pick, k)) ++pick;
+        if (pick < members.size()) std::swap(members[k], members[pick]);
       }
-      if (!ConsistentWithAssigned(subset, r, i, assigned)) return false;
-      assigned[static_cast<size_t>(r)] = static_cast<int64_t>(i);
-      const bool found = Bind(subset, members, info, depth + 1, assigned);
-      assigned[static_cast<size_t>(r)] = -1;
-      return found;
+      Step& step = plan_[k];
+      step.rel = members[k];
+      step.slot = slots[static_cast<size_t>(step.rel)];
+      step.checks.clear();
+      for (int ci : query_.ConditionsOf(step.rel)) {
+        const JoinCondition& c = query_.conditions()[static_cast<size_t>(ci)];
+        const int other = (c.left == step.rel) ? c.right : c.left;
+        if (std::find(members.begin(), members.begin() + k, other) !=
+            members.begin() + k) {
+          step.checks.emplace_back(&c, other);
+        }
+      }
+    }
+  }
+
+  const Rect& AssignedRect(int r) const {
+    const size_t rel = static_cast<size_t>(r);
+    return rects_[rel][static_cast<size_t>(assigned_[rel])].rect;
+  }
+
+  // Extends the assignment of plan_[0, depth) to the whole plan; true when
+  // a consistent, eligible assignment exists.
+  bool Bind(size_t depth) {
+    if (depth == plan_.size()) return true;
+    const Step& step = plan_[depth];
+    EligibleIndex& index = indices_[static_cast<size_t>(step.slot)];
+    const auto& list = rects_[static_cast<size_t>(step.rel)];
+
+    auto try_index = [&](int32_t i) {
+      const Rect& rect = list[static_cast<size_t>(i)].rect;
+      for (const auto& [c, other] : step.checks) {
+        if (!c->predicate.Evaluate(rect, AssignedRect(other))) return false;
+      }
+      assigned_[static_cast<size_t>(step.rel)] = i;
+      return Bind(depth + 1);
     };
 
-    if (anchor != nullptr) {
-      // Per-depth candidate buffer: the recursion below re-enters Bind, so
-      // a single shared list would be clobbered mid-iteration.
-      std::vector<int32_t>& candidates = candidate_buffers_[depth];
-      candidates.clear();
-      if (anchor->predicate.is_overlap()) {
-        trees_[static_cast<size_t>(r)]->CollectOverlapping(
-            *anchor_rect, &rtree_scratch_, &candidates);
-      } else {
-        trees_[static_cast<size_t>(r)]->CollectWithinDistance(
-            *anchor_rect, anchor->predicate.distance(), &rtree_scratch_,
-            &candidates);
-      }
-      for (int32_t i : candidates) {
-        if (try_index(static_cast<size_t>(i))) return true;
+    if (step.checks.empty()) {
+      // For induced components disconnected from the fixed relation, the
+      // first eligible rectangle typically succeeds immediately.
+      for (const int32_t i : index.ids) {
+        if (try_index(i)) return true;
       }
       return false;
     }
-    // No assigned neighbor: scan only the subset-eligible rectangles (for
-    // induced components disconnected from the fixed relation, the first
-    // eligible rectangle typically succeeds immediately).
-    for (int32_t i : info.eligible[static_cast<size_t>(r)]) {
-      if (try_index(static_cast<size_t>(i))) return true;
+    const RTree& tree = TreeOf(index);
+    const auto& [anchor, anchor_rel] = step.checks.front();
+    const Rect& anchor_rect = AssignedRect(anchor_rel);
+    // Per-depth candidate buffer: the recursion below re-enters Bind, so a
+    // single shared list would be clobbered mid-iteration.
+    std::vector<int32_t>& candidates = candidate_buffers_[depth];
+    candidates.clear();
+    if (anchor->predicate.is_overlap()) {
+      tree.CollectOverlapping(anchor_rect, &rtree_scratch_, &candidates);
+    } else {
+      tree.CollectWithinDistance(anchor_rect, anchor->predicate.distance(),
+                                 &rtree_scratch_, &candidates);
+    }
+    for (const int32_t j : candidates) {
+      if (try_index(index.ids[static_cast<size_t>(j)])) return true;
     }
     return false;
   }
@@ -265,35 +323,28 @@ class MarkingOracle {
   const Query& query_;
   const GridPartition& grid_;
   const CellId cell_;
-  const Rect cell_rect_;
   const std::vector<std::vector<LocalRect>>& rects_;
   std::vector<std::vector<char>> crossing_;
+  // Filled only when the query has a range edge.
   std::vector<std::vector<double>> foreign_dist_;
-  std::vector<std::unique_ptr<RTree>> trees_;
-  std::unordered_map<uint32_t, SubsetInfo> subset_cache_;
+  std::vector<std::unique_ptr<RTree>> full_trees_;
+  std::vector<EligibleIndex> indices_;
+  // The current (subset, fixed relation) binding plan.
+  std::vector<Step> plan_;
   // Probe state reused across every marking decision at this cell. The
   // traversal stack is shared by all depths (a probe completes before the
   // recursion descends); candidate lists are per-depth.
+  std::vector<int32_t> assigned_;
   RTree::QueryScratch rtree_scratch_;
   std::vector<std::vector<int32_t>> candidate_buffers_;
 };
 
 }  // namespace
 
-std::vector<std::vector<int64_t>> MarkRectanglesForCell(
+std::vector<std::vector<char>> MarkRectanglesForCell(
     const Query& query, const GridPartition& grid, CellId cell,
     const std::vector<std::vector<LocalRect>>& cell_rects) {
-  MarkingOracle oracle(query, grid, cell, cell_rects);
-  std::vector<std::vector<int64_t>> marked(cell_rects.size());
-  for (size_t r = 0; r < cell_rects.size(); ++r) {
-    for (size_t i = 0; i < cell_rects[r].size(); ++i) {
-      if (grid.CellOfRect(cell_rects[r][i].rect) != cell) continue;
-      if (oracle.IsMarked(static_cast<int>(r), i)) {
-        marked[r].push_back(cell_rects[r][i].id);
-      }
-    }
-  }
-  return marked;
+  return MarkingOracle(query, grid, cell, cell_rects).Mark();
 }
 
 StatusOr<JoinRunResult> ControlledReplicateJoin(
@@ -387,18 +438,16 @@ StatusOr<JoinRunResult> ControlledReplicateJoin(
       per_relation[static_cast<size_t>(v.relation)].push_back(
           LocalRect{v.rect, v.id});
     }
-    const std::vector<std::vector<int64_t>> marked_ids =
+    const std::vector<std::vector<char>> marked =
         MarkRectanglesForCell(query, grid, cell, per_relation);
-    std::vector<std::unordered_set<int64_t>> marked(static_cast<size_t>(m));
-    for (size_t r = 0; r < marked_ids.size(); ++r) {
-      marked[r].insert(marked_ids[r].begin(), marked_ids[r].end());
-    }
-    // Emit each rectangle exactly once, from its start cell.
+    // Emit each rectangle exactly once, from its start cell. `next[r]`
+    // walks relation r's flags in the order per_relation was filled.
+    std::vector<size_t> next(static_cast<size_t>(m), 0);
     for (const RelRect& v : values) {
+      const size_t r = static_cast<size_t>(v.relation);
+      const bool is_marked = marked[r][next[r]++] != 0;
       if (grid.CellOfRect(v.rect) != cell) continue;
-      out.Emit(MarkedRect{v.rect, v.id, v.relation,
-                          marked[static_cast<size_t>(v.relation)].count(
-                              v.id) > 0});
+      out.Emit(MarkedRect{v.rect, v.id, v.relation, is_marked});
     }
   });
 

@@ -1129,8 +1129,13 @@ JobStats MapReduceJob<In, K, V, Out>::Run(std::span<const In> input,
     stats.spill.merge_runs_max = std::max(stats.spill.merge_runs_max, w);
   }
 
-  for (auto& out : reducer_out) {
+  for (const auto& out : reducer_out) {
     stats.reduce_output_records += static_cast<int64_t>(out.size());
+  }
+  // Serial tail: one reservation instead of repeated growth of *output.
+  output->reserve(output->size() +
+                  static_cast<size_t>(stats.reduce_output_records));
+  for (auto& out : reducer_out) {
     output->insert(output->end(), std::make_move_iterator(out.begin()),
                    std::make_move_iterator(out.end()));
   }

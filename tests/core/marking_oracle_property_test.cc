@@ -1,12 +1,15 @@
 // Property test for the C-Rep round-1 marking decision: the production
-// oracle (subset search with per-subset caches and R-tree probes) must
-// agree with an exponential, literal transcription of conditions C1-C3 on
-// randomized reducer inputs, for overlap, range and hybrid queries.
+// oracle (subset-major search over eligible-only R-trees) must agree with
+// an exponential, literal transcription of conditions C1-C3 on randomized
+// reducer inputs, for overlap, range and hybrid queries, for chain and
+// cyclic shapes, and on cells where every or no rectangle crosses.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <string>
+#include <tuple>
 
+#include "common/random.h"
 #include "core/controlled_replicate.h"
 #include "testing/world.h"
 
@@ -130,25 +133,12 @@ class ReferenceMarker {
   const std::vector<std::vector<LocalRect>>& rects_;
 };
 
-class MarkingOraclePropertyTest
-    : public ::testing::TestWithParam<std::tuple<int, int>> {};
-// Params: (predicate mix index, seed).
-
-TEST_P(MarkingOraclePropertyTest, MatchesLiteralConditions) {
-  const int mix_index = std::get<0>(GetParam());
-  const int seed = std::get<1>(GetParam());
-  testing::WorldConfig config;
-  config.mix = static_cast<testing::PredicateMix>(mix_index);
-  config.range_d = 10.0;
-  config.max_rects_per_relation = 8;  // Tiny: the reference is exponential.
-  config.max_dim = 45.0;
-  config.seed = static_cast<uint64_t>(seed) * 131 + 7;
-  const Query query = testing::MakeWorldQuery(config);
-  const auto data = testing::MakeWorldData(config, query.num_relations());
-
-  const GridPartition grid =
-      GridPartition::Create(Rect(0, 0, 100, 100), 3, 3).value();
-
+// Checks MarkRectanglesForCell against the reference at every cell of
+// `grid` and returns the number of marked rectangles.
+int ExpectMatchesReference(const Query& query, const GridPartition& grid,
+                           const std::vector<std::vector<Rect>>& data,
+                           int seed) {
+  int total_marked = 0;
   for (CellId cell = 0; cell < grid.num_cells(); ++cell) {
     // The reducer's view after Split.
     std::vector<std::vector<LocalRect>> cell_rects(data.size());
@@ -161,29 +151,175 @@ TEST_P(MarkingOraclePropertyTest, MatchesLiteralConditions) {
       }
     }
 
-    std::vector<std::vector<int64_t>> marked =
+    const std::vector<std::vector<char>> marked =
         MarkRectanglesForCell(query, grid, cell, cell_rects);
-    for (auto& ids : marked) std::sort(ids.begin(), ids.end());
-
+    if (marked.size() != cell_rects.size()) {
+      ADD_FAILURE() << "flags for " << marked.size() << " relations";
+      return total_marked;
+    }
     const ReferenceMarker reference(query, grid, cell, cell_rects);
     for (size_t r = 0; r < cell_rects.size(); ++r) {
-      std::vector<int64_t> expected;
-      for (size_t i = 0; i < cell_rects[r].size(); ++i) {
-        if (grid.CellOfRect(cell_rects[r][i].rect) != cell) continue;
-        if (reference.IsMarked(static_cast<int>(r), i)) {
-          expected.push_back(cell_rects[r][i].id);
-        }
+      if (marked[r].size() != cell_rects[r].size()) {
+        ADD_FAILURE() << "relation " << r << " has " << marked[r].size()
+                      << " flags for " << cell_rects[r].size() << " rects";
+        continue;
       }
-      std::sort(expected.begin(), expected.end());
-      EXPECT_EQ(marked[r], expected)
-          << "relation " << r << " at cell " << cell << " seed " << seed;
+      for (size_t i = 0; i < cell_rects[r].size(); ++i) {
+        const bool expected =
+            grid.CellOfRect(cell_rects[r][i].rect) == cell &&
+            reference.IsMarked(static_cast<int>(r), i);
+        EXPECT_EQ(marked[r][i] != 0, expected)
+            << "relation " << r << " rectangle " << cell_rects[r][i].id
+            << " at cell " << cell << " seed " << seed;
+        total_marked += expected ? 1 : 0;
+      }
     }
   }
+  return total_marked;
+}
+
+GridPartition Grid3x3() {
+  return GridPartition::Create(Rect(0, 0, 100, 100), 3, 3).value();
+}
+
+testing::WorldConfig TinyWorld(int mix_index, int seed) {
+  testing::WorldConfig config;
+  config.mix = static_cast<testing::PredicateMix>(mix_index);
+  config.range_d = 10.0;
+  config.max_rects_per_relation = 8;  // Tiny: the reference is exponential.
+  config.max_dim = 45.0;
+  config.seed = static_cast<uint64_t>(seed) * 131 + 7;
+  return config;
+}
+
+class MarkingOraclePropertyTest
+    : public ::testing::TestWithParam<std::tuple<int, int>> {};
+// Params: (predicate mix index, seed).
+
+TEST_P(MarkingOraclePropertyTest, MatchesLiteralConditions) {
+  const int seed = std::get<1>(GetParam());
+  const testing::WorldConfig config = TinyWorld(std::get<0>(GetParam()), seed);
+  const Query query = testing::MakeWorldQuery(config);
+  ExpectMatchesReference(query, Grid3x3(),
+                         testing::MakeWorldData(config, query.num_relations()),
+                         seed);
 }
 
 INSTANTIATE_TEST_SUITE_P(Mixes, MarkingOraclePropertyTest,
                          ::testing::Combine(::testing::Range(0, 3),
                                             ::testing::Range(0, 10)));
+
+// Every rectangle is wider than a cell, so none fits in any cell: every
+// rectangle crosses, every overlap requirement keeps the whole relation
+// eligible, and the eligibility keys share each relation's full tree.
+TEST_P(MarkingOraclePropertyTest, EveryRectangleCrosses) {
+  const int seed = std::get<1>(GetParam());
+  const testing::WorldConfig config = TinyWorld(std::get<0>(GetParam()), seed);
+  const Query query = testing::MakeWorldQuery(config);
+  const GridPartition grid = Grid3x3();
+  Rng rng(config.seed);
+  std::vector<std::vector<Rect>> data(3);
+  for (auto& relation : data) {
+    const int n = static_cast<int>(rng.UniformInt(1, 6));
+    for (int i = 0; i < n; ++i) {
+      const double l = rng.Uniform(34, 60);
+      const double b = rng.Uniform(1, 20);
+      relation.push_back(Rect::FromXYLB(rng.Uniform(0, 100 - l),
+                                        rng.Uniform(b, 100), l, b));
+    }
+  }
+  const int marked = ExpectMatchesReference(query, grid, data, seed);
+  if (config.mix == testing::PredicateMix::kOverlapOnly) {
+    // Any rectangle with an overlapping partner is a witness by itself.
+    EXPECT_GT(marked, 0) << "seed " << seed;
+  }
+}
+
+// Every rectangle lies strictly inside one cell, away from its sides: no
+// rectangle crosses, so overlap requirements leave nothing eligible and
+// only range edges can mark.
+TEST_P(MarkingOraclePropertyTest, NoRectangleCrosses) {
+  const int seed = std::get<1>(GetParam());
+  const testing::WorldConfig config = TinyWorld(std::get<0>(GetParam()), seed);
+  const Query query = testing::MakeWorldQuery(config);
+  const GridPartition grid = Grid3x3();
+  Rng rng(config.seed);
+  std::vector<std::vector<Rect>> data(3);
+  for (auto& relation : data) {
+    for (int i = 0; i < 8; ++i) {
+      const Rect cell = grid.CellRect(
+          static_cast<CellId>(rng.UniformInt(0, grid.num_cells() - 1)));
+      const double l = rng.Uniform(1, 15);
+      const double b = rng.Uniform(1, 15);
+      relation.push_back(Rect::FromXYLB(
+          rng.Uniform(cell.min_x() + 0.5, cell.max_x() - 0.5 - l),
+          rng.Uniform(cell.min_y() + 0.5 + b, cell.max_y() - 0.5), l, b));
+    }
+  }
+  const int marked = ExpectMatchesReference(query, grid, data, seed);
+  if (config.mix == testing::PredicateMix::kOverlapOnly) {
+    EXPECT_EQ(marked, 0) << "seed " << seed;
+  }
+}
+
+class MarkingOracleShapeTest
+    : public ::testing::TestWithParam<
+          std::tuple<testing::QueryShape, int, int>> {};
+// Params: (query shape, predicate mix index, seed).
+
+// The 4-relation chain has binding plans three deep and subsets whose
+// induced graph is disconnected; the triangle has a cycle, so a binding
+// checks a second induced condition besides the one it probes through.
+TEST_P(MarkingOracleShapeTest, MatchesLiteralConditions) {
+  const int seed = std::get<2>(GetParam());
+  testing::WorldConfig config = TinyWorld(std::get<1>(GetParam()), seed);
+  config.shape = std::get<0>(GetParam());
+  const Query query = testing::MakeWorldQuery(config);
+  ExpectMatchesReference(query, Grid3x3(),
+                         testing::MakeWorldData(config, query.num_relations()),
+                         seed);
+}
+
+std::string ShapeWorldName(
+    const ::testing::TestParamInfo<MarkingOracleShapeTest::ParamType>& info) {
+  const char* const mixes[] = {"overlap", "range", "hybrid"};
+  const auto& [shape, mix, seed] = info.param;
+  return std::string(shape == testing::QueryShape::kChain4 ? "chain4_"
+                                                           : "cycle3_") +
+         mixes[mix] + "_seed" + std::to_string(seed);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, MarkingOracleShapeTest,
+    ::testing::Combine(::testing::Values(testing::QueryShape::kChain4,
+                                         testing::QueryShape::kCycle3),
+                       ::testing::Range(0, 3), ::testing::Range(0, 6)),
+    ShapeWorldName);
+
+class MarkingOracleTwoDistanceTest : public ::testing::TestWithParam<int> {};
+// Param: seed.
+
+// R1 Ra(4) R2 ∧ R2 Ra(12) R3 ∧ R3 Ov R4: R2's requirement is d = 4 in
+// {R2} and {R2, R3} but d = 12 in {R1, R2}, and R3 needs to cross in
+// some subsets and not in others, so one relation gets several distinct
+// eligibility keys.
+TEST_P(MarkingOracleTwoDistanceTest, MatchesLiteralConditions) {
+  const int seed = GetParam();
+  QueryBuilder builder;
+  for (const char* name : {"R1", "R2", "R3", "R4"}) builder.AddRelation(name);
+  builder.AddCondition(0, 1, Predicate::Range(4));
+  builder.AddCondition(1, 2, Predicate::Range(12));
+  builder.AddCondition(2, 3, Predicate::Overlap());
+  const Query query = builder.Build().value();
+  testing::WorldConfig config = TinyWorld(0, seed);
+  config.max_rects_per_relation = 6;
+  ExpectMatchesReference(query, Grid3x3(),
+                         testing::MakeWorldData(config, query.num_relations()),
+                         seed);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, MarkingOracleTwoDistanceTest,
+                         ::testing::Range(0, 10));
 
 }  // namespace
 }  // namespace mwsj

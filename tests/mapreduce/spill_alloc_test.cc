@@ -4,38 +4,16 @@
 // re-encode — exactly what a flaky-I/O retry or a speculative duplicate
 // flush performs — touches the heap zero times, and the re-encoded bytes
 // are identical to the first attempt's. Whole-binary allocation counting
-// via the replaced operator new, as in bench/micro_localjoin.cc;
+// via the shared counting allocator (testing/counting_new.h);
 // gtest_discover_tests runs each TEST in its own process.
-#include <atomic>
-#include <cstddef>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 #include <utility>
 #include <vector>
 
 #include "core/records.h"
 #include "gtest/gtest.h"
 #include "mapreduce/spill.h"
-
-namespace {
-std::atomic<int64_t> g_heap_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#include "testing/counting_new.h"
 
 namespace mwsj {
 namespace {
@@ -74,10 +52,10 @@ TEST(SpillEncodeRunAllocTest, RetryReencodeIsAllocationFree) {
   // across flush attempts — no allocation may occur.
   for (size_t n : {pairs.size(), pairs.size() / 2}) {
     bytes.clear();
-    const int64_t before = g_heap_allocs.load(std::memory_order_relaxed);
+    const int64_t before = testing::HeapAllocs();
     spill::EncodeRun(pairs.data(), n, &scratch, &bytes);
     const int64_t allocs =
-        g_heap_allocs.load(std::memory_order_relaxed) - before;
+        testing::HeapAllocs() - before;
     EXPECT_EQ(allocs, 0) << "EncodeRun allocated on a warmed scratch (n="
                          << n << ")";
   }

@@ -1,40 +1,18 @@
 // Pins the MWSJ_ALLOC_FREE contract of knn_internal::MergeTopK
 // (queries/knn_mr.h): after its thread-local scratch reaches the worker's
 // high-water candidate count, merging a point allocates nothing. The
-// whole-binary operator new replacement below counts every heap
-// allocation, the same idiom bench/micro_localjoin.cc uses for
+// shared counting allocator (testing/counting_new.h) counts every heap
+// allocation of the binary, as bench/micro_localjoin.cc does for
 // allocs_per_probe; gtest_discover_tests runs each TEST in its own
 // process, so the counter only ever measures this file's probes.
-#include <atomic>
-#include <cstddef>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 #include <span>
 #include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
 #include "queries/knn_mr.h"
-
-namespace {
-std::atomic<int64_t> g_heap_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#include "testing/counting_new.h"
 
 namespace mwsj {
 namespace {
@@ -73,10 +51,10 @@ TEST(KnnMrMergeTopKAllocTest, SteadyStateIsAllocationFree) {
   for (int n : {256, 255, 64, 1}) {
     std::vector<KnnCandidate> values = MakeCandidates(1000 + n, n);
     rows.clear();
-    const int64_t before = g_heap_allocs.load(std::memory_order_relaxed);
+    const int64_t before = testing::HeapAllocs();
     knn_internal::MergeTopK(std::span<const KnnCandidate>(values), k, emit);
     const int64_t allocs =
-        g_heap_allocs.load(std::memory_order_relaxed) - before;
+        testing::HeapAllocs() - before;
     EXPECT_EQ(allocs, 0) << "MergeTopK allocated on a warmed scratch (n="
                          << n << ")";
   }
