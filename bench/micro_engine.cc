@@ -149,11 +149,11 @@ BENCHMARK(BM_EngineTracingOverhead)->Arg(0)->Arg(1)->Arg(2)
     ->Unit(benchmark::kMillisecond);
 
 void BM_ReduceGroupBy(benchmark::State& state) {
-  // Reduce-phase group-by throughput on spatial-join-sized values (RelRect
-  // is ~40 bytes, CascadeRecord bigger still): the SoA inbox sorts a u32
-  // index permutation instead of whole pairs, applies it once, and hands
-  // reduce_ spans directly into the value array. Manual time = the job's
-  // reduce_seconds, so map and shuffle are excluded. Arg = distinct keys.
+  // Reduce-phase throughput on spatial-join-sized values (RelRect is ~40
+  // bytes, CascadeRecord bigger still): each reducer merges its 64 sorted
+  // buckets into a key-sorted SoA inbox and hands reduce_ spans directly
+  // into the value array. Manual time = the job's reduce_seconds, so the
+  // map phase (and its bucket sorts) is excluded. Arg = distinct keys.
   struct FatValue {
     int64_t id;
     double payload[6];
@@ -189,8 +189,8 @@ BENCHMARK(BM_ReduceGroupBy)->Arg(64)->Arg(4096)->Arg(100'000)
 
 void BM_ReduceGroupBySingleKey(benchmark::State& state) {
   // The spatial algorithms' actual reduce shape: identity partitioner,
-  // one key (cell id) per reducer. Arrival order is trivially key-sorted,
-  // so the group-by takes the zero-move fast path and the reduce function
+  // one key (cell id) per reducer. Every bucket is trivially key-sorted,
+  // so the merge moves each bucket in one run and the reduce function
   // reads one span covering the whole inbox. Manual time = reduce_seconds.
   struct FatValue {
     int64_t id;

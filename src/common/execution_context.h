@@ -16,15 +16,15 @@ class Tracer;
 /// from the pointer bundle below so a scheduler can clamp them per job
 /// without touching the environment wiring.
 struct ExecutionOptions {
-  /// Byte budget for the engine's in-memory shuffle state (the per-chunk ×
+  /// Byte budget for the engine's resident shuffle state (the per-chunk ×
   /// per-reducer bucket matrix). 0 means "inherit the MWSJ_SHUFFLE_BUDGET
-  /// environment override, else unlimited" — today's fully in-memory
-  /// behavior. -1 means explicitly unlimited (ignore the environment).
-  /// A positive budget turns on spill mode: every mapper chunk sorts its
-  /// buckets by key, chunks whose output exceeds budget/num_chunks flush
-  /// their buckets as columnar-compressed sorted runs, and reducer inboxes
-  /// are rebuilt by a k-way loser-tree merge. Output is byte-identical to
-  /// the unlimited path (mapreduce/spill.h, DESIGN.md §2.13).
+  /// environment override, else unlimited". -1 means explicitly unlimited
+  /// (ignore the environment). Every mapper chunk sorts its buckets by key
+  /// and every reducer inbox is built by a k-way loser-tree merge; a
+  /// positive budget adds spilling: chunks whose output exceeds
+  /// budget/num_chunks flush their sorted buckets as runs (columnar-
+  /// compressed where the types allow). Output is byte-identical at every
+  /// budget (mapreduce/spill.h, DESIGN.md §2.13).
   int64_t shuffle_memory_budget = 0;
 };
 

@@ -61,8 +61,9 @@ struct SpillStats {
   int64_t flush_retries = 0;
   /// Staged run bytes discarded by failed flush attempts.
   int64_t wasted_flush_bytes = 0;
-  /// Shuffle-state bytes resident at the map→reduce barrier: in-memory
-  /// buckets of unspilled chunks plus stored bytes of spilled runs.
+  /// Shuffle-state bytes resident at the map→reduce barrier: the
+  /// intermediate bytes of unspilled chunks. Spilled runs are not counted
+  /// (see spilled_stored_bytes), so this reads 0 when every chunk spills.
   /// Deterministic (computed from sizes, not sampled).
   int64_t peak_shuffle_bytes = 0;
   /// Largest single reducer inbox, in intermediate bytes — the reduce-side

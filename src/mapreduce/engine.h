@@ -62,9 +62,11 @@ std::string DescribeKey(const K& key) {
 ///     communication cost the algorithms are designed to minimize;
 ///   * reducers execute as independent tasks with per-task timing, so
 ///     reducer skew is observable;
-///   * execution is deterministic: mapper outputs are concatenated in input
-///     order regardless of thread scheduling, and reducers iterate key
-///     groups in key order;
+///   * there is one shuffle, Hadoop's: every mapper chunk key-sorts its
+///     buckets and every reducer k-way merges its bucket column, breaking
+///     key ties by chunk index. Execution is therefore deterministic:
+///     reducers iterate key groups in key order, and a key's values arrive
+///     in input order regardless of thread scheduling;
 ///   * tasks can fail and be re-executed: an `ExecutionContext::faults`
 ///     plan (mapreduce/fault.h) injects deterministic per-attempt
 ///     crash/flaky/straggler faults, and the engine retries with bounded
@@ -75,9 +77,10 @@ std::string DescribeKey(const K& key) {
 ///   * the shuffle is memory-budgeted: a positive
 ///     `ExecutionContext::options.shuffle_memory_budget` (or the
 ///     MWSJ_SHUFFLE_BUDGET env override) makes over-budget mapper chunks
-///     flush their buckets as sorted, columnar-compressed spill runs and
-///     reducers k-way merge them back lazily — same output bytes, bounded
-///     resident shuffle memory (DESIGN.md §2.13, JobStats::spill).
+///     flush their sorted buckets as spill runs (columnar-compressed where
+///     the types allow), which the reducer merge streams back — same output
+///     bytes, bounded resident shuffle memory (DESIGN.md §2.13,
+///     JobStats::spill). Without a budget nothing spills.
 ///
 /// Keys must be totally ordered (operator<) and equality-comparable; keys
 /// and values must be movable and default-constructible (the mapper-side
@@ -359,16 +362,15 @@ JobStats MapReduceJob<In, K, V, Out>::Run(std::span<const In> input,
     std::abort();
   };
 
-  // ---- Out-of-core shuffle setup (DESIGN.md §2.13). A positive budget
-  // puts the run in spill mode: every mapper chunk key-sorts its buckets
-  // after the counting sort, chunks whose intermediate bytes exceed their
-  // budget share flush all buckets as sorted runs, and each reducer k-way
-  // merges its bucket column lazily at reduce time. With no budget
-  // (default) the run takes the original all-in-memory path, untouched.
-  // Spill runs live in an engine-internal DFS, not ctx.dfs: the user's DFS
-  // accounts the algorithm's I/O (the paper's communication cost), while
-  // spill traffic is an engine implementation detail reported via
-  // SpillStats.
+  // ---- Shuffle setup (DESIGN.md §2.13). There is one shuffle: every
+  // committed map chunk key-sorts its buckets after the counting sort, and
+  // each reducer k-way merges its bucket column into its inbox at reduce
+  // time. A positive budget adds spilling: a chunk whose intermediate bytes
+  // exceed its budget share flushes all buckets as sorted runs, which the
+  // merge streams back. With no budget nothing spills. Spill runs live in
+  // an engine-internal DFS, not ctx.dfs: the user's DFS accounts the
+  // algorithm's I/O (the paper's communication cost), while spill traffic
+  // is an engine implementation detail reported via SpillStats.
   const int64_t shuffle_budget = spill::ResolveShuffleBudget(ctx.options);
   const bool budget_mode = shuffle_budget > 0;
   stats.spill.budget_bytes = shuffle_budget;
@@ -384,17 +386,16 @@ JobStats MapReduceJob<In, K, V, Out>::Run(std::span<const In> input,
   // its pairs at emit time and finishes its task with a stable local
   // counting sort into a reducer-major shard (the chunk's row of the
   // num_chunks × num_reducers bucket matrix, stored compactly as one
-  // vector plus offsets — Hadoop's mapper-side partition/sort/spill). The
-  // shuffle below is then a contention-free concatenation, and the overall
-  // pair order (chunk-major, emit order within a chunk) is independent of
-  // thread scheduling.
+  // vector plus offsets — Hadoop's mapper-side partition/sort/spill), then
+  // key-sorts each bucket. The pair order every reducer merges (chunk-major,
+  // emit order within a chunk) is independent of thread scheduling.
   const size_t num_reducers = static_cast<size_t>(num_reducers_);
   const size_t chunk_size =
       std::max<size_t>(1, (input.size() + 63) / 64);
   const size_t num_chunks =
       input.empty() ? 0 : (input.size() + chunk_size - 1) / chunk_size;
   struct MapShard {
-    std::vector<std::pair<K, V>> pairs;  // Reducer-major, emit-order stable.
+    std::vector<std::pair<K, V>> pairs;  // Reducer-major, buckets key-sorted.
     std::vector<size_t> offsets;         // Bucket r = [offsets[r], offsets[r+1]).
     int64_t records = 0;                 // pairs.size() at commit (pairs may spill).
     int64_t bytes = 0;
@@ -408,45 +409,50 @@ JobStats MapReduceJob<In, K, V, Out>::Run(std::span<const In> input,
     SpillStats spill;                   // This task's spill accounting.
   };
   std::vector<MapShard> shards(num_chunks);
-  const int64_t chunk_budget =
-      budget_mode ? spill::ChunkBudget(shuffle_budget, num_chunks) : 0;
+  const int64_t chunk_budget = spill::ChunkBudget(shuffle_budget, num_chunks);
 
-  // Budget mode: stable key sort of one bucket, preserving emit order
-  // within equal keys — the bucket becomes a sorted run whether it stays
-  // in memory or spills, so the reduce-side merge sees only sorted
-  // sources.
+  // Stable key sort of one bucket, preserving emit order within equal keys,
+  // so the reduce-side merge sees only sorted sources. A bucket that is
+  // already sorted is left alone: every bucket of the identity-partitioned
+  // spatial jobs holds a single key (its cell). The scratch belongs to one
+  // map task and is reused across its buckets.
+  struct SortScratch {
+    std::vector<uint64_t> keys;
+    std::vector<uint32_t> idx;
+    std::vector<std::pair<K, V>> pairs;
+  };
   auto sort_bucket = [](std::vector<std::pair<K, V>>& pairs, size_t lo,
-                        size_t hi) {
-    const size_t m = hi - lo;
-    if (m < 2) return;
+                        size_t hi, SortScratch* scratch) {
+    const auto first = pairs.begin() + static_cast<ptrdiff_t>(lo);
+    const auto last = pairs.begin() + static_cast<ptrdiff_t>(hi);
+    auto by_key = [](const std::pair<K, V>& a, const std::pair<K, V>& b) {
+      return a.first < b.first;
+    };
+    if (std::is_sorted(first, last, by_key)) return;
     if constexpr (std::is_integral_v<K> && sizeof(K) <= 8) {
-      std::vector<K> keys(m);
-      std::vector<uint32_t> idx(m);
+      const size_t m = hi - lo;
+      scratch->keys.resize(m);
+      scratch->idx.resize(m);
       for (size_t i = 0; i < m; ++i) {
-        keys[i] = pairs[lo + i].first;
-        idx[i] = static_cast<uint32_t>(i);
+        scratch->keys[i] = simd::OrderedKeyFromInt(pairs[lo + i].first);
+        scratch->idx[i] = static_cast<uint32_t>(i);
       }
-      simd::StableSortIndexByKey(keys, &idx);
-      std::vector<std::pair<K, V>> tmp;
-      tmp.reserve(m);
+      simd::ActiveKernels().sort_key_idx(scratch->keys.data(),
+                                         scratch->idx.data(), m);
+      scratch->pairs.clear();
       for (size_t i = 0; i < m; ++i) {
-        tmp.push_back(std::move(pairs[lo + idx[i]]));
+        scratch->pairs.push_back(std::move(pairs[lo + scratch->idx[i]]));
       }
-      std::move(tmp.begin(), tmp.end(), pairs.begin() + lo);
+      std::move(scratch->pairs.begin(), scratch->pairs.end(), first);
     } else {
-      std::stable_sort(
-          pairs.begin() + static_cast<ptrdiff_t>(lo),
-          pairs.begin() + static_cast<ptrdiff_t>(hi),
-          [](const std::pair<K, V>& a, const std::pair<K, V>& b) {
-            return a.first < b.first;
-          });
+      std::stable_sort(first, last, by_key);
     }
   };
   auto spill_run_name = [](size_t c, size_t r) {
     return "spill/chunk-" + std::to_string(c) + "/r-" + std::to_string(r);
   };
-  // Budget mode: after a chunk's committing map attempt, sort its buckets
-  // and — if the chunk exceeds its budget share — flush them all as
+  // After a chunk's committing map attempt, sort its buckets and — in
+  // budget mode, if the chunk exceeds its budget share — flush them all as
   // sorted runs through an attempt-staged, fault-injectable write
   // (FaultPhase::kSpill, task id = chunk index). Runs are columnar-
   // compressed when (K, V) supports it, raw sorted pair vectors otherwise;
@@ -456,14 +462,20 @@ JobStats MapReduceJob<In, K, V, Out>::Run(std::span<const In> input,
     MapShard& shard = shards[c];
     if (shard.pairs.empty()) return;
     Stopwatch spill_watch;
-    shard.bucket_bytes.assign(num_reducers, 0);
+    SortScratch scratch;
     for (size_t r = 0; r < num_reducers; ++r) {
-      for (size_t i = shard.offsets[r]; i < shard.offsets[r + 1]; ++i) {
-        shard.bucket_bytes[r] += value_size(shard.pairs[i].second);
-      }
-      sort_bucket(shard.pairs, shard.offsets[r], shard.offsets[r + 1]);
+      sort_bucket(shard.pairs, shard.offsets[r], shard.offsets[r + 1],
+                  &scratch);
     }
-    if (shard.bytes > chunk_budget && kCanSpill) {
+    if (budget_mode) {
+      shard.bucket_bytes.assign(num_reducers, 0);
+      for (size_t r = 0; r < num_reducers; ++r) {
+        for (size_t i = shard.offsets[r]; i < shard.offsets[r + 1]; ++i) {
+          shard.bucket_bytes[r] += value_size(shard.pairs[i].second);
+        }
+      }
+    }
+    if (budget_mode && shard.bytes > chunk_budget && kCanSpill) {
       // Stages runs for the first `bucket_limit` reducers (a flaky flush
       // dies midway through its buckets). Reads the buckets, never moves
       // them.
@@ -687,7 +699,7 @@ JobStats MapReduceJob<In, K, V, Out>::Run(std::span<const In> input,
       }
       break;
     }
-    if (budget_mode) sort_and_maybe_spill(c);
+    sort_and_maybe_spill(c);
   };
   {
     TraceSpan map_phase(tracer, "map", "phase");
@@ -717,87 +729,39 @@ JobStats MapReduceJob<In, K, V, Out>::Run(std::span<const In> input,
       if (!shards[c].spilled) resident += shards[c].bytes;
     }
     stats.spill.peak_shuffle_bytes = resident;
-    // Peak inbox: the largest single reducer's merged inbox — in budget
-    // mode that is the unit of resident reduce-side memory, since inboxes
-    // are built lazily and released eagerly.
+    // Peak inbox: the largest single reducer's merged inbox — the unit of
+    // resident reduce-side memory, since inboxes are built lazily and
+    // released eagerly. Merge width: a reducer's non-empty buckets.
     for (size_t r = 0; r < num_reducers; ++r) {
       int64_t inbox_bytes = 0;
-      for (size_t c = 0; c < num_chunks; ++c) {
-        if (!shards[c].bucket_bytes.empty()) {
-          inbox_bytes += shards[c].bucket_bytes[r];
-        }
+      int64_t width = 0;
+      for (const MapShard& shard : shards) {
+        if (shard.offsets[r + 1] == shard.offsets[r]) continue;
+        inbox_bytes += shard.bucket_bytes[r];
+        ++width;
       }
       stats.spill.peak_inbox_bytes =
           std::max(stats.spill.peak_inbox_bytes, inbox_bytes);
+      stats.spill.merge_runs_max = std::max(stats.spill.merge_runs_max, width);
     }
   }
   stats.map_seconds = phase_watch.ElapsedSeconds();
 
-  // ---- Shuffle: each reducer's inbox is the concatenation of its bucket
-  // column in chunk order — byte-for-byte the order the former serial
-  // routing loop produced — merged in parallel across reducers (distinct
-  // reducers move disjoint shard slices, so no synchronization is needed).
-  // The inbox is structure-of-arrays: the reduce group-by sorts a compact
-  // index permutation over keys[] and hands reduce_ spans directly into a
-  // value array, never touching key-value pairs again.
+  // ---- Shuffle. The merge is deferred to reduce time: each reducer k-way
+  // merges its bucket column just before reducing, so at most one inbox
+  // per worker is resident at once. The shuffle phase itself only derives
+  // per-reducer record counts from the bucket offsets; shards stay alive
+  // through the reduce phase.
   phase_watch.Reset();
-  struct ReducerInbox {
-    std::vector<K> keys;
-    std::vector<V> values;  // Index-aligned with keys.
-  };
-  std::vector<ReducerInbox> inbox(num_reducers);
-  auto merge_reducer = [&](size_t r) {
-    TraceSpan merge_span(tracer, "shuffle_merge", "task");
-    tag_job(merge_span);
-    size_t total = 0;
-    for (size_t c = 0; c < num_chunks; ++c) {
-      total += shards[c].offsets[r + 1] - shards[c].offsets[r];
-    }
-    auto& in = inbox[r];
-    in.keys.reserve(total);
-    in.values.reserve(total);
-    for (size_t c = 0; c < num_chunks; ++c) {
-      MapShard& shard = shards[c];
-      for (size_t i = shard.offsets[r]; i < shard.offsets[r + 1]; ++i) {
-        in.keys.push_back(std::move(shard.pairs[i].first));
-        in.values.push_back(std::move(shard.pairs[i].second));
-      }
-    }
-    merge_span.AddArg("reducer", static_cast<int64_t>(r));
-    merge_span.AddArg("records", static_cast<int64_t>(total));
-  };
-  stats.per_reducer_records.resize(num_reducers);
-  if (!budget_mode) {
-    {
-      TraceSpan shuffle_phase(tracer, "shuffle", "phase");
-      tag_job(shuffle_phase);
-      if (pool != nullptr && num_reducers > 1) {
-        ParallelFor(pool, num_reducers, merge_reducer);
-      } else {
-        for (size_t r = 0; r < num_reducers; ++r) merge_reducer(r);
-      }
-    }
-    shards.clear();
-    shards.shrink_to_fit();
-    for (size_t r = 0; r < num_reducers; ++r) {
-      stats.per_reducer_records[r] = static_cast<int64_t>(inbox[r].keys.size());
-    }
-  } else {
-    // Budget mode defers the merge to reduce time: each reducer k-way
-    // merges its bucket column (memory buckets + spill runs) just before
-    // reducing, so at most one inbox per worker is resident at once. The
-    // shuffle phase itself only derives per-reducer record counts from
-    // the bucket offsets; shards stay alive through the reduce phase.
+  stats.per_reducer_records.assign(num_reducers, 0);
+  {
     TraceSpan shuffle_phase(tracer, "shuffle", "phase");
     tag_job(shuffle_phase);
-    shuffle_phase.AddArg("deferred", int64_t{1});
-    for (size_t r = 0; r < num_reducers; ++r) {
-      int64_t total = 0;
-      for (size_t c = 0; c < num_chunks; ++c) {
-        total += static_cast<int64_t>(shards[c].offsets[r + 1] -
-                                      shards[c].offsets[r]);
+    for (const MapShard& shard : shards) {
+      for (size_t r = 0; r < num_reducers; ++r) {
+        stats.per_reducer_records[r] +=
+            static_cast<int64_t>(shard.offsets[r + 1] - shard.offsets[r]);
       }
-      stats.per_reducer_records[r] = total;
     }
   }
   stats.shuffle_seconds = phase_watch.ElapsedSeconds();
@@ -816,16 +780,19 @@ JobStats MapReduceJob<In, K, V, Out>::Run(std::span<const In> input,
   std::vector<WorkCounters> reduce_task_work(
       static_cast<size_t>(num_reducers_));  // Committed attempts only.
 
-  // Budget mode: rebuild reducer r's inbox by k-way merging its bucket
-  // column — in-memory sorted buckets are moved out of their shards,
-  // spilled buckets stream back through run cursors — with key ties
-  // broken by chunk index. That order is exactly the stable-sort-by-key
-  // permutation of the chunk-major arrival order the in-memory path
-  // feeds its StableSortIndexByKey, so reduce output is byte-identical;
-  // and since the merged keys arrive sorted, the reduce fast path below
-  // needs no further sort.
-  std::vector<int64_t> merge_widths(budget_mode ? num_reducers : 0, 0);
+  // Builds reducer r's inbox by k-way merging its bucket column — memory
+  // buckets are moved out of their shards, spilled buckets stream back
+  // through run cursors — with key ties broken by chunk index. That order
+  // is exactly a stable sort by key of the chunk-major arrival order, so
+  // the inbox arrives key-sorted and the reducer never sorts. The inbox is
+  // structure-of-arrays: reduce_ gets spans directly into the value array.
+  struct ReducerInbox {
+    std::vector<K> keys;
+    std::vector<V> values;  // Index-aligned with keys.
+  };
   auto build_inbox = [&](size_t r) {
+    TraceSpan merge_span(tracer, "shuffle_merge", "task");
+    tag_job(merge_span);
     struct MergeSource {
       std::pair<K, V>* mem = nullptr;  // In-memory sorted bucket slice.
       size_t mem_pos = 0;
@@ -836,10 +803,11 @@ JobStats MapReduceJob<In, K, V, Out>::Run(std::span<const In> input,
       std::shared_ptr<const std::vector<uint8_t>> enc_bytes;
       std::shared_ptr<const std::vector<std::pair<K, V>>> raw;  // Raw run.
       size_t raw_pos = 0;
+      size_t chunk = 0;
     };
-    ReducerInbox& in = inbox[r];
+    ReducerInbox in;
     std::vector<MergeSource> sources;
-    std::vector<std::string> run_names;
+    sources.reserve(num_chunks);
     size_t total = 0;
     for (size_t c = 0; c < num_chunks; ++c) {
       MapShard& shard = shards[c];
@@ -848,18 +816,19 @@ JobStats MapReduceJob<In, K, V, Out>::Run(std::span<const In> input,
       if (hi == lo) continue;
       total += hi - lo;
       MergeSource src;
+      src.chunk = c;
       if (!shard.spilled) {
         src.mem = shard.pairs.data();
         src.mem_pos = lo;
         src.mem_end = hi;
       } else {
-        run_names.push_back(spill_run_name(c, r));
+        const std::string run_name = spill_run_name(c, r);
         bool loaded = false;
         if constexpr (spill::kEncodable<K, V>) {
           // Probe the columnar representation first; a run the flush chose
           // to store raw (encoding expanded it) fails the type check and
           // falls through.
-          auto data = spill_dfs.Read<uint8_t>(run_names.back());
+          auto data = spill_dfs.Read<uint8_t>(run_name);
           if (data.ok()) {
             src.enc_bytes = data.value();
             src.use_enc = true;
@@ -873,14 +842,13 @@ JobStats MapReduceJob<In, K, V, Out>::Run(std::span<const In> input,
         if constexpr (std::is_copy_constructible_v<K> &&
                       std::is_copy_constructible_v<V>) {
           if (!loaded) {
-            auto data = spill_dfs.Read<std::pair<K, V>>(run_names.back());
+            auto data = spill_dfs.Read<std::pair<K, V>>(run_name);
             src.raw = data.value();
           }
         }
       }
       sources.push_back(std::move(src));
     }
-    merge_widths[r] = static_cast<int64_t>(sources.size());
     auto src_empty = [](const MergeSource& s) {
       if (s.mem != nullptr) return s.mem_pos >= s.mem_end;
       if (s.use_enc) return s.enc.empty();
@@ -906,13 +874,22 @@ JobStats MapReduceJob<In, K, V, Out>::Run(std::span<const In> input,
     in.values.reserve(total);
     if (total > 0) {
       spill::LoserTree<decltype(beats)> tree(sources.size(), beats);
-      for (size_t produced = 0; produced < total; ++produced) {
+      while (in.keys.size() < total) {
         const size_t w = tree.winner();
         MergeSource& s = sources[w];
         if (s.mem != nullptr) {
-          in.keys.push_back(std::move(s.mem[s.mem_pos].first));
-          in.values.push_back(std::move(s.mem[s.mem_pos].second));
-          ++s.mem_pos;
+          // Pop the source's whole equal-key run: every lower-index source
+          // holding this key has already drained (ties break by chunk
+          // index), so the run is next in merge order.
+          size_t end = s.mem_pos + 1;
+          while (end < s.mem_end &&
+                 !(s.mem[s.mem_pos].first < s.mem[end].first)) {
+            ++end;
+          }
+          for (; s.mem_pos < end; ++s.mem_pos) {
+            in.keys.push_back(std::move(s.mem[s.mem_pos].first));
+            in.values.push_back(std::move(s.mem[s.mem_pos].second));
+          }
         } else if (s.use_enc) {
           if constexpr (spill::kEncodable<K, V>) {
             K k;
@@ -935,65 +912,46 @@ JobStats MapReduceJob<In, K, V, Out>::Run(std::span<const In> input,
     }
     // The merged inbox owns the records now; drop this reducer's spill
     // runs so out-of-core memory drains as reducers complete.
-    sources.clear();
-    for (const std::string& name : run_names) spill_dfs.Remove(name);
+    for (const MergeSource& s : sources) {
+      if (s.mem == nullptr) spill_dfs.Remove(spill_run_name(s.chunk, r));
+    }
+    merge_span.AddArg("reducer", static_cast<int64_t>(r));
+    merge_span.AddArg("records", static_cast<int64_t>(total));
+    return in;
   };
 
   auto run_reducer = [&](size_t r) {
     PhaseFaultStats& rf = reduce_task_faults[r];
     rf.tasks = 1;
-    if (budget_mode) build_inbox(r);
-    ReducerInbox& in = inbox[r];
+    ReducerInbox in = build_inbox(r);
     const size_t n = in.keys.size();
-    // Groups [i, j) of a key-sorted key array, handing reduce_ a span
-    // directly into the matching value array — no per-group scratch copy.
-    // The spans are only valid during the reduce_ call. `limit` stops a
-    // flaky attempt roughly midway: the group containing record `limit`
-    // is the last one processed.
-    auto reduce_runs = [&](const K* keys, const V* values, size_t limit,
-                           OutEmitter& out) {
+    // Groups [i, j) of the key-sorted inbox, handing reduce_ a span
+    // directly into the value array — no per-group scratch copy. The spans
+    // are only valid during the reduce_ call. `limit` stops a flaky attempt
+    // roughly midway: the group containing record `limit` is the last one
+    // processed.
+    auto reduce_runs = [&](size_t limit, OutEmitter& out) {
       size_t i = 0;
       while (i < limit) {
-        const K& key = keys[i];
+        const K& key = in.keys[i];
         size_t j = i + 1;
-        while (j < n && !(key < keys[j]) && !(keys[j] < key)) ++j;
-        reduce_(key, std::span<const V>(values + i, j - i), out);
+        while (j < n && !(key < in.keys[j])) ++j;
+        reduce_(key, std::span<const V>(in.values.data() + i, j - i), out);
         i = j;
       }
     };
     // A doomed attempt (flaky failure or speculative duplicate) whose
-    // output is discarded. It must leave the inbox intact for the real
-    // attempt, so it reduces over the inbox in place when arrival order
-    // is already key-sorted and over a *copied* sorted view otherwise;
-    // move-only key/value types can't be copied, so the unsorted case
-    // degrades to a crash-style failure (nothing executed). Returns
-    // whether the attempt actually ran. All output lands in scratch
-    // buffers and a DfsStage that is aborted on scope exit.
+    // output is discarded. reduce_ reads the inbox through const spans, so
+    // the attempt leaves it intact for the committing attempt. All output
+    // lands in scratch buffers and a DfsStage that is aborted on scope
+    // exit.
     auto run_discarded_attempt = [&](size_t limit) {
       std::vector<Out> scratch;
       std::map<std::string, int64_t> counters;
       OutEmitter out(&scratch, &counters);
       WorkCounters work;
       WorkCountersScope work_scope(&work);
-      if (std::is_sorted(in.keys.begin(), in.keys.end())) {
-        reduce_runs(in.keys.data(), in.values.data(), limit, out);
-      } else if constexpr (std::is_copy_constructible_v<K> &&
-                           std::is_copy_constructible_v<V>) {
-        std::vector<uint32_t> idx(n);
-        for (size_t i = 0; i < n; ++i) idx[i] = static_cast<uint32_t>(i);
-        simd::StableSortIndexByKey(in.keys, &idx);
-        std::vector<K> sorted_keys;
-        std::vector<V> sorted_values;
-        sorted_keys.reserve(n);
-        sorted_values.reserve(n);
-        for (size_t i = 0; i < n; ++i) {
-          sorted_keys.push_back(in.keys[idx[i]]);
-          sorted_values.push_back(in.values[idx[i]]);
-        }
-        reduce_runs(sorted_keys.data(), sorted_values.data(), limit, out);
-      } else {
-        return false;
-      }
+      reduce_runs(limit, out);
       if (ctx.dfs != nullptr) {
         if constexpr (std::is_copy_constructible_v<Out>) {
           DfsStage stage(ctx.dfs);
@@ -1007,7 +965,6 @@ JobStats MapReduceJob<In, K, V, Out>::Run(std::span<const In> input,
       rf.wasted_records += static_cast<int64_t>(scratch.size());
       rf.wasted_bytes +=
           static_cast<int64_t>(scratch.size()) * output_record_bytes_;
-      return true;
     };
     for (int attempt = 0;; ++attempt) {
       const FaultKind fault =
@@ -1022,9 +979,7 @@ JobStats MapReduceJob<In, K, V, Out>::Run(std::span<const In> input,
         attempt_span.AddArg("attempt", static_cast<int64_t>(attempt));
         attempt_span.AddArg("failed", int64_t{1});
         Stopwatch attempt_watch;
-        if (fault == FaultKind::kFlakyIo) {
-          (void)run_discarded_attempt(n / 2);
-        }
+        if (fault == FaultKind::kFlakyIo) run_discarded_attempt(n / 2);
         rf.wasted_seconds += attempt_watch.ElapsedSeconds();
         attempt_span.End();
         if (attempt + 1 >= retry.max_attempts) {
@@ -1044,13 +999,12 @@ JobStats MapReduceJob<In, K, V, Out>::Run(std::span<const In> input,
         spec_span.AddArg("failed", int64_t{1});
         spec_span.AddArg("speculative", int64_t{1});
         Stopwatch spec_watch;
-        if (run_discarded_attempt(n)) {
-          rf.wasted_seconds += spec_watch.ElapsedSeconds();
-          ++rf.attempts;
-          ++rf.speculative;
-        }
+        run_discarded_attempt(n);
+        rf.wasted_seconds += spec_watch.ElapsedSeconds();
+        ++rf.attempts;
+        ++rf.speculative;
       }
-      // Committing attempt: may consume the inbox destructively.
+      // Committing attempt.
       TraceSpan reduce_span(tracer, "reduce_task", "task");
       tag_job(reduce_span);
       reduce_span.AddArg("reducer", static_cast<int64_t>(r));
@@ -1063,34 +1017,8 @@ JobStats MapReduceJob<In, K, V, Out>::Run(std::span<const In> input,
       OutEmitter out_emitter(&reducer_out[r], &counters);
       WorkCounters work;  // On the stack, as in the map phase.
       WorkCountersScope work_scope(&work);
-      if (std::is_sorted(in.keys.begin(), in.keys.end())) {
-        // Fast path: arrival order is already key-sorted — always true for
-        // the spatial algorithms' identity partitioner, where a reducer
-        // holds exactly one key (its cell). Reduce directly over the inbox:
-        // zero sorts, zero moves.
-        reduce_runs(in.keys.data(), in.values.data(), n, out_emitter);
-      } else {
-        // Stable index sort by key keeps same-key values in arrival (chunk)
-        // order, matching Hadoop's merge of mapper spills — it yields
-        // exactly the permutation a stable sort of (key, value) pairs
-        // would, while moving 4-byte indices instead of whole pairs. The
-        // permutation is applied once (one move per value), making same-key
-        // values one contiguous run.
-        std::vector<uint32_t> idx(n);
-        for (size_t i = 0; i < n; ++i) idx[i] = static_cast<uint32_t>(i);
-        simd::StableSortIndexByKey(in.keys, &idx);
-        std::vector<K> sorted_keys;
-        std::vector<V> sorted_values;
-        sorted_keys.reserve(n);
-        sorted_values.reserve(n);
-        for (size_t i = 0; i < n; ++i) {
-          sorted_keys.push_back(std::move(in.keys[idx[i]]));
-          sorted_values.push_back(std::move(in.values[idx[i]]));
-        }
-        reduce_runs(sorted_keys.data(), sorted_values.data(), n, out_emitter);
-      }
-      std::vector<K>().swap(in.keys);  // Release inbox memory eagerly.
-      std::vector<V>().swap(in.values);
+      reduce_runs(n, out_emitter);
+      in = ReducerInbox();  // Release inbox memory eagerly.
       if (ctx.dfs != nullptr) {
         // Commit this reduce task's output as the job's part file, Hadoop
         // OutputCommitter style: staged during the attempt, published only
@@ -1125,9 +1053,6 @@ JobStats MapReduceJob<In, K, V, Out>::Run(std::span<const In> input,
     stats.reduce_faults.Add(rf);
   }
   for (const WorkCounters& w : reduce_task_work) stats.work.Add(w);
-  for (const int64_t w : merge_widths) {
-    stats.spill.merge_runs_max = std::max(stats.spill.merge_runs_max, w);
-  }
 
   for (const auto& out : reducer_out) {
     stats.reduce_output_records += static_cast<int64_t>(out.size());

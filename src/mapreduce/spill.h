@@ -3,10 +3,11 @@
 
 // mwsj-lint: spill-budgeted
 //
-// Out-of-core shuffle support for the map-reduce engine (DESIGN.md §2.13):
-// budget resolution, the columnar spill-run codec bridge, streaming run
-// cursors, and the k-way loser-tree merge that rebuilds reducer inboxes in
-// exactly the order a stable sort of the in-memory path would produce.
+// Shuffle support for the map-reduce engine (DESIGN.md §2.13): budget
+// resolution, the columnar spill-run codec bridge, streaming run cursors,
+// and the k-way loser-tree merge that builds every reducer inbox from the
+// reducer's sorted buckets, spilled or not, in exactly the order a stable
+// sort by key of the chunk-major arrival order would produce.
 
 #include <cstdint>
 #include <cstdlib>

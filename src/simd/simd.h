@@ -1,7 +1,6 @@
 #ifndef MWSJ_SIMD_SIMD_H_
 #define MWSJ_SIMD_SIMD_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <optional>
@@ -128,28 +127,6 @@ inline uint64_t OrderedKeyFromInt(K k) {
            (uint64_t{1} << 63);
   } else {
     return static_cast<uint64_t>(k);
-  }
-}
-
-/// Sorts `*idx` (initially the identity permutation over keys) stably by
-/// keys[idx[i]] — a drop-in for
-///   std::stable_sort(idx, [&](a, b) { return keys[a] < keys[b]; })
-/// Integral keys are widened order-preservingly and sorted by the active
-/// batch kernel; other key types fall back to std::stable_sort.
-template <typename K>
-void StableSortIndexByKey(const std::vector<K>& keys,
-                          std::vector<uint32_t>* idx) {
-  if constexpr (std::is_integral_v<K> && sizeof(K) <= 8) {
-    const size_t n = idx->size();
-    std::vector<uint64_t> widened(n);
-    for (size_t i = 0; i < n; ++i) {
-      widened[i] = OrderedKeyFromInt(keys[(*idx)[i]]);
-    }
-    ActiveKernels().sort_key_idx(widened.data(), idx->data(), n);
-  } else {
-    std::stable_sort(
-        idx->begin(), idx->end(),
-        [&keys](uint32_t a, uint32_t b) { return keys[a] < keys[b]; });
   }
 }
 

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/str_format.h"
 #include "common/thread_pool.h"
 #include "common/random.h"
 #include "core/runner.h"
@@ -111,7 +112,7 @@ INSTANTIATE_TEST_SUITE_P(
 // marking oracle and longer cascades.
 TEST(EquivalenceEdgeCases, FiveRelationChain) {
   QueryBuilder b;
-  for (int i = 0; i < 5; ++i) b.AddRelation("R" + std::to_string(i + 1));
+  for (int i = 0; i < 5; ++i) b.AddRelation(StrFormat("R%d", i + 1));
   b.AddOverlap(0, 1).AddRange(1, 2, 10).AddOverlap(2, 3).AddRange(3, 4, 6);
   const Query query = b.Build().value();
 
@@ -141,7 +142,7 @@ TEST(EquivalenceEdgeCases, FiveRelationChain) {
 // A "T"-shaped join graph (chain plus a branch off the middle).
 TEST(EquivalenceEdgeCases, TreeShapedJoinGraph) {
   QueryBuilder b;
-  for (int i = 0; i < 4; ++i) b.AddRelation("R" + std::to_string(i + 1));
+  for (int i = 0; i < 4; ++i) b.AddRelation(StrFormat("R%d", i + 1));
   b.AddOverlap(0, 1).AddOverlap(1, 2).AddRange(1, 3, 12);
   const Query query = b.Build().value();
 

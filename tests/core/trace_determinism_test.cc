@@ -6,6 +6,7 @@
 
 #include <string>
 
+#include "common/str_format.h"
 #include "common/thread_pool.h"
 #include "common/trace.h"
 #include "core/runner.h"
@@ -68,7 +69,7 @@ TEST(TraceDeterminismTest, TracedCRepRunMatchesUntracedRun) {
        {"traced-run", "crep", "crep_round1", "crep_round2",
         "crep_round1_mark", "crep_round2_join", "map", "shuffle", "reduce",
         "local_join", "sort_tuples", "grid_build"}) {
-    EXPECT_NE(json.find("\"" + std::string(name) + "\""), std::string::npos)
+    EXPECT_NE(json.find(StrFormat("\"%s\"", name)), std::string::npos)
         << "missing span " << name;
   }
 }

@@ -181,6 +181,47 @@ TEST(EngineFaultTest, InjectedFaultsRecoverWithIdenticalOutputAndCounters) {
   EXPECT_GT(faulted.stats.reduce_faults.wasted_records, 0);
 }
 
+TEST(EngineFaultTest, DoomedReduceAttemptsRunOnMoveOnlyValues) {
+  // Move-only values and several keys per reducer, emitted out of key
+  // order: a doomed reduce attempt (speculative duplicate or flaky
+  // failure) must still run over the reducer's inbox and leave it intact
+  // for the committing attempt.
+  using PtrJob = MapReduceJob<int, int, std::unique_ptr<int>,
+                              std::pair<int, int>>;
+  auto run = [](const ExecutionContext& ctx) {
+    std::vector<int> input;
+    for (int i = 0; i < 64; ++i) input.push_back(i * 37 % 64);
+    PtrJob job("move_only", 2);
+    job.set_partition([](const int& k) { return k % 2; });
+    job.set_map([](const int& v, PtrJob::Emitter& emit) {
+      emit.Emit(v % 8, std::make_unique<int>(v));
+    });
+    job.set_reduce([](const int& k, std::span<const std::unique_ptr<int>> vals,
+                      PtrJob::OutEmitter& out) {
+      for (const std::unique_ptr<int>& v : vals) out.Emit({k, *v});
+    });
+    JobRun result;
+    result.stats = job.Run(std::span<const int>(input), &result.output, ctx);
+    return result;
+  };
+  const JobRun baseline = run(ExecutionContext());
+
+  FaultPlan plan;
+  plan.Inject(FaultPhase::kReduce, 0, 0, FaultKind::kSlow);
+  plan.Inject(FaultPhase::kReduce, 1, 0, FaultKind::kFlakyIo);
+  RetryPolicy retry;
+  retry.sleep = [](double) {};
+  ExecutionContext ctx;
+  ctx.faults = &plan;
+  ctx.retry = &retry;
+  const JobRun faulted = run(ctx);
+
+  EXPECT_EQ(faulted.output, baseline.output);
+  EXPECT_EQ(faulted.stats.reduce_faults.speculative, 1);
+  EXPECT_EQ(faulted.stats.reduce_faults.retries, 1);
+  EXPECT_GT(faulted.stats.reduce_faults.wasted_records, 0);
+}
+
 TEST(EngineFaultTest, BackoffFollowsExponentialScheduleOnVirtualClock) {
   FaultPlan plan;
   plan.Inject(FaultPhase::kMap, 3, 0, FaultKind::kCrash);

@@ -173,7 +173,7 @@ TEST(EngineTest, StringOutputsByteIdenticalSerialVsPool) {
     using StrJob = MapReduceJob<int, std::string, std::string, std::string>;
     StrJob job("strings", 64);
     job.set_map([](const int& v, StrJob::Emitter& emit) {
-      emit.Emit("k" + std::to_string(v % 100), "v" + std::to_string(v));
+      emit.Emit(StrFormat("k%d", v % 100), StrFormat("v%d", v));
     });
     job.set_reduce([](const std::string& k, std::span<const std::string> vals,
                       StrJob::OutEmitter& out) {
@@ -196,17 +196,17 @@ TEST(EngineTest, StringOutputsByteIdenticalSerialVsPool) {
 }
 
 TEST(EngineTest, GroupByMatchesPairSortGolden) {
-  // Golden comparison for the SoA reduce path: the engine's contract is
-  // that each reducer stable-sorts its arrival-ordered pairs by key and
-  // reduces each group in key order. Simulate exactly that with an
+  // Golden comparison for the merge-built SoA inbox: the engine's contract
+  // is that each reducer sees its arrival-ordered pairs stable-sorted by
+  // key and reduces each group in key order. Simulate exactly that with an
   // independent pair-based reference and require byte-for-byte identical
   // output, with and without a thread pool.
   std::vector<int> input;
   for (int i = 0; i < 3000; ++i) input.push_back(i * 31 % 257);
   const int num_reducers = 8;
 
-  auto key_of = [](int v) { return "k" + std::to_string(v % 53); };
-  auto value_of = [](int v) { return "v" + std::to_string(v); };
+  auto key_of = [](int v) { return StrFormat("k%d", v % 53); };
+  auto value_of = [](int v) { return StrFormat("v%d", v); };
   auto partition_of = [](const std::string& k) {
     return static_cast<int>(std::hash<std::string>{}(k) % 8);
   };
@@ -245,7 +245,7 @@ TEST(EngineTest, GroupByMatchesPairSortGolden) {
     }
   }
 
-  auto run = [&](ThreadPool* pool) {
+  auto run = [&](ThreadPool* pool, int64_t budget) {
     using StrJob = MapReduceJob<int, std::string, std::string, std::string>;
     StrJob job("golden_group_by", num_reducers);
     job.set_partition(partition_of);
@@ -258,13 +258,20 @@ TEST(EngineTest, GroupByMatchesPairSortGolden) {
       out.Emit(render(k, vals));
     });
     std::vector<std::string> output;
-    job.Run(std::span<const int>(input), &output, ExecutionContext(pool));
+    ExecutionContext ctx(pool);
+    ctx.options.shuffle_memory_budget = budget;
+    job.Run(std::span<const int>(input), &output, ctx);
     return output;
   };
 
-  EXPECT_EQ(run(nullptr), golden);
+  // Unlimited, and a 1-byte budget under which every chunk spills. String
+  // keys have no columnar encoding, so each reducer merges raw runs that
+  // hold many keys each.
   ThreadPool pool(4);
-  EXPECT_EQ(run(&pool), golden);
+  for (const int64_t budget : {int64_t{-1}, int64_t{1}}) {
+    EXPECT_EQ(run(nullptr, budget), golden) << "budget " << budget;
+    EXPECT_EQ(run(&pool, budget), golden) << "budget " << budget;
+  }
 }
 
 TEST(EngineTest, PhaseTimingsArePopulated) {
@@ -421,23 +428,23 @@ TEST(EngineTest, TracerRecordsJobPhaseAndTaskSpans) {
     for (int v : vals) out.Emit(v);
   });
 
-  Tracer tracer;
-  std::vector<int> output;
-  ExecutionContext ctx(nullptr, &tracer);
-  // The asserted span set is the in-memory pipeline's (shuffle_merge does
-  // not exist in budget mode, where the merge is deferred to reduce
-  // time); pin unlimited so an MWSJ_SHUFFLE_BUDGET env override can't
-  // change the traced structure.
-  ctx.options.shuffle_memory_budget = -1;
-  job.Run(std::span<const int>(input), &output, ctx);
+  // Unlimited and a 1-byte budget (every chunk spills) trace the same
+  // span set: both take the one sorted-bucket merge shuffle.
+  for (const int64_t budget : {int64_t{-1}, int64_t{1}}) {
+    Tracer tracer;
+    std::vector<int> output;
+    ExecutionContext ctx(nullptr, &tracer);
+    ctx.options.shuffle_memory_budget = budget;
+    job.Run(std::span<const int>(input), &output, ctx);
 
-  const std::string json = tracer.ToJson();
-  for (const char* span_name :
-       {"traced_job", "map", "shuffle", "reduce", "map_chunk",
-        "shuffle_merge", "reduce_task"}) {
-    EXPECT_NE(json.find(StrFormat("\"name\": \"%s\"", span_name)),
-              std::string::npos)
-        << "missing span " << span_name;
+    const std::string json = tracer.ToJson();
+    for (const char* span_name :
+         {"traced_job", "map", "shuffle", "reduce", "map_chunk",
+          "shuffle_merge", "reduce_task"}) {
+      EXPECT_NE(json.find(StrFormat("\"name\": \"%s\"", span_name)),
+                std::string::npos)
+          << "missing span " << span_name << " at budget " << budget;
+    }
   }
 }
 

@@ -40,10 +40,9 @@ struct ChaosOptions {
   /// this.
   ThreadPool* pool = nullptr;
   /// Shuffle memory budget of the faulted run. The fault-free baseline is
-  /// always pinned to the in-memory shuffle, so any positive value here
-  /// asserts the out-of-core path (sorted spill runs + k-way merge,
-  /// DESIGN.md §2.13) is byte-identical to the in-memory one — on top of
-  /// the fault axis. Tiny values (a few bytes) force every mapper chunk to
+  /// always pinned unbudgeted (nothing spills), so any positive value here
+  /// asserts that spilled sorted runs merged back (DESIGN.md §2.13) give
+  /// the same bytes as resident buckets — on top of the fault axis. Tiny values (a few bytes) force every mapper chunk to
   /// flush. 0 inherits MWSJ_SHUFFLE_BUDGET like any run.
   int64_t shuffle_memory_budget = 0;
   /// When set, replaces the Seeded(fault_seed, ...) plan on the faulted

@@ -115,9 +115,9 @@ INSTANTIATE_TEST_SUITE_P(
 // Out-of-core chaos: the same worlds with a shuffle budget so small that
 // every mapper chunk flushes its buckets as sorted spill runs and every
 // reducer k-way merges them back. The fault-free baseline inside
-// RunChaosWorld stays pinned to the in-memory shuffle, so each world
+// RunChaosWorld stays pinned unbudgeted (nothing spills), so each world
 // asserts the spill path byte-identical against BOTH the brute-force
-// oracle and the in-memory run — while the seeded plan also faults the
+// oracle and the unspilled run — while the seeded plan also faults the
 // spill flushes themselves (FaultPhase::kSpill).
 TEST(SpillChaosTest, TinyBudgetsStayByteIdenticalUnderFaults) {
   const uint64_t base = SeedBase();

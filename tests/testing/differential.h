@@ -59,8 +59,8 @@ struct DifferentialOptions {
   /// key on (phase, task, attempt), so outcomes must not depend on this.
   ThreadPool* pool = nullptr;
   /// Shuffle memory budget of the variant run. The baseline is always
-  /// pinned to the in-memory shuffle, so any positive value asserts the
-  /// out-of-core path is byte-identical on top of the fault axis. 0
+  /// pinned unbudgeted (nothing spills), so any positive value asserts
+  /// that spilling is byte-identical on top of the fault axis. 0
   /// inherits MWSJ_SHUFFLE_BUDGET like any run.
   int64_t shuffle_memory_budget = 0;
   /// When set, replaces the Seeded(fault_seed, ...) plan on the variant —

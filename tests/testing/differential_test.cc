@@ -84,7 +84,7 @@ TEST_P(KnnMrChaosTest, DifferentialWorldsStayByteIdentical) {
   constexpr int kWorldsPerCase = 50;  // x {serial, pool} = 100 worlds.
   constexpr int kKs[] = {1, 2, 3, 8, 16};
   constexpr int kGrids[][2] = {{1, 1}, {1, 4}, {3, 3}, {5, 2}, {4, 4}};
-  // -1 pins the in-memory shuffle; 1 spills every chunk; 512 and 16k mix
+  // -1 pins unbudgeted (nothing spills); 1 spills every chunk; 512 and 16k mix
   // resident and spilled chunks; 0 inherits MWSJ_SHUFFLE_BUDGET.
   constexpr int64_t kBudgets[] = {-1, 1, 512, 16 * 1024, 0};
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <utility>
 
+#include "common/str_format.h"
 #include "grid/grid_partition.h"
 #include "queries/knn.h"
 
@@ -48,7 +49,7 @@ Query MakeWorldQuery(const WorldConfig& config) {
       edges = {{0, 1}, {1, 2}, {2, 0}};
       break;
   }
-  for (int i = 0; i < n; ++i) b.AddRelation("R" + std::to_string(i + 1));
+  for (int i = 0; i < n; ++i) b.AddRelation(StrFormat("R%d", i + 1));
   for (size_t e = 0; e < edges.size(); ++e) {
     b.AddCondition(edges[e].first, edges[e].second,
                    EdgePredicate(config, static_cast<int>(e)));
