@@ -45,7 +45,7 @@ class MultiwayLocalJoin {
   /// Type-erased emit signature, kept for call sites that store the
   /// callback; Execute itself is templated so lambdas dispatch statically
   /// in the recursion (no std::function call per candidate).
-  // mwsj-lint: allow(hot-path-std-function) -- type-erased storage for
+  // mwsj-check: allow(hot-path-std-function): type-erased storage for
   // callers that hold a callback; never invoked inside the Bind recursion.
   using EmitFn = std::function<void(const std::vector<const LocalRect*>&)>;
 

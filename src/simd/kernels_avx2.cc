@@ -1,4 +1,4 @@
-// mwsj-lint: hot-path
+// mwsj-check: hot-path
 //
 // AVX2 kernel TU: 4 doubles / 4 u64 keys per vector. Compiled with -mavx2
 // (set per-source in CMakeLists.txt) only when the compiler supports it;

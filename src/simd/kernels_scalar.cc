@@ -1,4 +1,4 @@
-// mwsj-lint: hot-path
+// mwsj-check: hot-path
 //
 // Scalar reference kernels. Every vector variant must match these
 // byte-for-byte (same matching indices, same order, same sorted

@@ -1,4 +1,4 @@
-// mwsj-lint: hot-path
+// mwsj-check: hot-path
 //
 // SSE4.2 kernel TU: 2 doubles / 2 u64 keys per vector. Compiled with
 // -msse4.2 (set per-source in CMakeLists.txt) only when the compiler

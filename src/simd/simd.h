@@ -38,7 +38,7 @@ bool IsaAvailable(Isa isa);
 /// streams do not depend on the active ISA.
 ///
 /// Function pointers, not std::function: the table is resolved once at
-/// startup and callers sit on per-probe hot paths (see mwsj_lint's
+/// startup and callers sit on per-probe hot paths (see mwsj_check's
 /// hot-path-std-function rule).
 struct KernelTable {
   /// Closed-set rectangle overlap against the query box (geometry's

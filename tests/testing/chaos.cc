@@ -1,6 +1,7 @@
 #include "testing/chaos.h"
 
 #include <cstddef>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -12,41 +13,38 @@
 
 namespace mwsj::testing {
 
-ChaosOutcome RunChaosWorld(const WorldConfig& config, Algorithm algorithm,
-                           const ChaosOptions& options) {
-  const Query query = MakeWorldQuery(config);
-  const std::vector<std::vector<Rect>> data =
-      MakeWorldData(config, query.num_relations());
-
+DifferentialWorkload MultiwayJoinWorkload(const WorldConfig& config,
+                                          Algorithm algorithm) {
+  struct World {
+    Query query;
+    std::vector<std::vector<Rect>> data;
+    RunnerOptions runner;
+  };
   RunnerOptions runner;
   runner.algorithm = algorithm;
-  // Grid geometry varies with the world seed, like the equivalence suite:
-  // single-reducer, skinny, and square grids must all recover identically.
   const int grid_cases[][2] = {{1, 1}, {1, 4}, {3, 3}, {5, 2}, {4, 4}};
   const auto& grid = grid_cases[config.seed % 5];
   runner.grid_rows = grid[0];
   runner.grid_cols = grid[1];
   runner.space = Rect(0, 0, config.space_size, config.space_size);
+  Query query = MakeWorldQuery(config);
+  std::vector<std::vector<Rect>> data =
+      MakeWorldData(config, query.num_relations());
+  // Shared by both closures; the workload may outlive this call.
+  const auto world = std::make_shared<const World>(
+      World{std::move(query), std::move(data), runner});
 
   DifferentialWorkload workload;
   workload.name = AlgorithmName(algorithm);
-  workload.oracle = [&query, &data] { return BruteForceJoin(query, data); };
-  workload.run = [&query, &data,
-                  &runner](const ExecutionContext& ctx) {
-    RunnerOptions run_options = runner;
-    run_options.context = ctx;
-    return RunSpatialJoin(query, data, run_options);
+  workload.oracle = [world] {
+    return BruteForceJoin(world->query, world->data);
   };
-
-  DifferentialOptions diff;
-  diff.fault_seed = options.fault_seed;
-  diff.crash_prob = options.crash_prob;
-  diff.flaky_prob = options.flaky_prob;
-  diff.slow_prob = options.slow_prob;
-  diff.pool = options.pool;
-  diff.shuffle_memory_budget = options.shuffle_memory_budget;
-  diff.fault_plan = options.fault_plan;
-  return RunDifferentialWorld(workload, diff);
+  workload.run = [world](const ExecutionContext& ctx) {
+    RunnerOptions run_options = world->runner;
+    run_options.context = ctx;
+    return RunSpatialJoin(world->query, world->data, run_options);
+  };
+  return workload;
 }
 
 SchedulerChaosOutcome RunSchedulerChaosWorld(
@@ -100,7 +98,7 @@ SchedulerChaosOutcome RunSchedulerChaosWorld(
   }
 
   RetryPolicy retry;
-  retry.sleep = [](double) {};  // Virtual clock, as in RunChaosWorld.
+  retry.sleep = [](double) {};  // Virtual clock, as in the harness.
 
   std::vector<JobHandle> handles;
   std::vector<bool> cancel_landed(static_cast<size_t>(num_jobs), false);

@@ -6,61 +6,28 @@
 
 #include "common/thread_pool.h"
 #include "core/runner.h"
-#include "mapreduce/fault.h"
 #include "testing/differential.h"
 #include "testing/world.h"
 
 namespace mwsj::testing {
 
-/// Chaos-test harness for the engine's exactly-once fault recovery.
+/// Chaos-test layer for the engine's exactly-once fault recovery.
 ///
 /// One chaos world runs a randomized join three ways — a brute-force
 /// oracle, a fault-free baseline, and under a seeded deterministic
 /// FaultPlan — and cross-checks that fault injection is invisible in
 /// everything except the fault accounting itself: byte-identical tuples,
-/// user counters, shuffle statistics, and DFS byte accounting.
-///
-/// Since the differential-harness factoring this is a thin adapter: it
-/// assembles the multiway-join DifferentialWorkload (brute-force oracle +
-/// RunSpatialJoin over the world's seeded grid geometry) and delegates to
-/// RunDifferentialWorld (testing/differential.h), which owns the
-/// oracle/baseline/faulted execution and every cross-check.
+/// user counters, shuffle statistics, and DFS byte accounting. The
+/// differential harness (testing/differential.h) runs the world and owns
+/// every cross-check; this layer supplies the multiway-join workload.
 
-struct ChaosOptions {
-  /// Seed of the FaultPlan::Seeded plan applied to the faulted run.
-  uint64_t fault_seed = 1;
-  /// Per-attempt fault probabilities. The defaults are brutal compared to
-  /// any real cluster (~20% of attempts fault) so even a 9-task job
-  /// usually retries something.
-  double crash_prob = 0.08;
-  double flaky_prob = 0.08;
-  double slow_prob = 0.04;
-  /// Worker pool for all three runs; null = unthreaded. Fault plans are
-  /// keyed by (phase, task, attempt), so the outcome must not depend on
-  /// this.
-  ThreadPool* pool = nullptr;
-  /// Shuffle memory budget of the faulted run. The fault-free baseline is
-  /// always pinned unbudgeted (nothing spills), so any positive value here
-  /// asserts that spilled sorted runs merged back (DESIGN.md §2.13) give
-  /// the same bytes as resident buckets — on top of the fault axis. Tiny values (a few bytes) force every mapper chunk to
-  /// flush. 0 inherits MWSJ_SHUFFLE_BUDGET like any run.
-  int64_t shuffle_memory_budget = 0;
-  /// When set, replaces the Seeded(fault_seed, ...) plan on the faulted
-  /// run — for targeted injections such as a crash mid-spill-flush
-  /// (FaultPlan::Inject(FaultPhase::kSpill, chunk, attempt, kind)).
-  const FaultPlan* fault_plan = nullptr;
-};
-
-/// What one chaos world observed — exactly the differential harness's
-/// outcome (the adapter adds no fields of its own).
-using ChaosOutcome = DifferentialOutcome;
-
-/// Runs one chaos world for `algorithm`. Deterministic: the same
-/// (config, algorithm, options) triple always yields the same outcome,
-/// threaded or not. No real sleeps — the faulted run's retry policy
-/// injects a virtual backoff clock.
-ChaosOutcome RunChaosWorld(const WorldConfig& config, Algorithm algorithm,
-                           const ChaosOptions& options);
+/// The multiway-join workload of one world: the brute-force oracle and
+/// RunSpatialJoin of `algorithm` over the world's query and data, which
+/// the returned workload owns. Grid geometry varies with the world seed
+/// (single-reducer, skinny, and square grids), so every shape must
+/// recover identically.
+DifferentialWorkload MultiwayJoinWorkload(const WorldConfig& config,
+                                          Algorithm algorithm);
 
 /// Chaos configuration for the scheduler core: a fleet of concurrent
 /// mixed-algorithm jobs on one JobScheduler, each under its own seeded

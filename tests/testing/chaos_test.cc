@@ -15,15 +15,20 @@
 
 #include <gtest/gtest.h>
 
+#include "mapreduce/fault.h"
 #include "testing/chaos.h"
+#include "testing/differential.h"
 
 namespace mwsj {
 namespace {
 
-using testing::ChaosOptions;
-using testing::ChaosOutcome;
+using testing::DifferentialOptions;
+using testing::DifferentialOutcome;
+using testing::DifferentialWorkload;
+using testing::MultiwayJoinWorkload;
 using testing::PredicateMix;
 using testing::QueryShape;
+using testing::RunDifferentialWorld;
 using testing::WorldConfig;
 
 constexpr int kWorldsPerCase = 13;  // x (4 algorithms x {serial, pool}) = 104.
@@ -51,7 +56,7 @@ TEST_P(ChaosTest, ExactlyOnceUnderSeededFaultPlans) {
                                      PredicateMix::kRangeOnly,
                                      PredicateMix::kHybrid};
 
-  ChaosOutcome total;
+  DifferentialOutcome total;
   for (int i = 0; i < kWorldsPerCase; ++i) {
     WorldConfig config;
     config.shape = kShapes[i % 4];
@@ -59,13 +64,13 @@ TEST_P(ChaosTest, ExactlyOnceUnderSeededFaultPlans) {
     config.integer_coords = (i % 2 == 1);
     config.seed = base * 1000003 + static_cast<uint64_t>(i) * 7919 + 13;
 
-    ChaosOptions options;
+    DifferentialOptions options;
     options.fault_seed = base * 6364136223846793005ull +
                          static_cast<uint64_t>(i) * 104729 + 1;
     options.pool = pool.get();
 
-    const ChaosOutcome outcome =
-        testing::RunChaosWorld(config, algorithm, options);
+    const DifferentialOutcome outcome = RunDifferentialWorld(
+        MultiwayJoinWorkload(config, algorithm), options);
     EXPECT_TRUE(outcome.ok())
         << AlgorithmName(algorithm) << (threaded ? " (pool)" : " (serial)")
         << " world " << i << " seed " << config.seed << " fault_seed "
@@ -115,7 +120,7 @@ INSTANTIATE_TEST_SUITE_P(
 // Out-of-core chaos: the same worlds with a shuffle budget so small that
 // every mapper chunk flushes its buckets as sorted spill runs and every
 // reducer k-way merges them back. The fault-free baseline inside
-// RunChaosWorld stays pinned unbudgeted (nothing spills), so each world
+// RunDifferentialWorld stays pinned unbudgeted (nothing spills), so each world
 // asserts the spill path byte-identical against BOTH the brute-force
 // oracle and the unspilled run — while the seeded plan also faults the
 // spill flushes themselves (FaultPhase::kSpill).
@@ -133,7 +138,7 @@ TEST(SpillChaosTest, TinyBudgetsStayByteIdenticalUnderFaults) {
   // leave a mix of spilled and resident chunks in one shuffle.
   constexpr int64_t kBudgets[] = {1, 512, 8 * 1024};
 
-  ChaosOutcome total;
+  DifferentialOutcome total;
   for (int i = 0; i < 12; ++i) {
     WorldConfig config;
     config.shape = static_cast<QueryShape>(i % 4);
@@ -141,14 +146,14 @@ TEST(SpillChaosTest, TinyBudgetsStayByteIdenticalUnderFaults) {
     config.integer_coords = (i % 2 == 1);
     config.seed = base * 1000003 + static_cast<uint64_t>(i) * 7919 + 29;
 
-    ChaosOptions options;
+    DifferentialOptions options;
     options.fault_seed = base * 6364136223846793005ull +
                          static_cast<uint64_t>(i) * 104729 + 11;
     options.pool = (i % 2 == 0) ? &pool : nullptr;
     options.shuffle_memory_budget = kBudgets[i % 3];
 
-    const ChaosOutcome outcome = testing::RunChaosWorld(
-        config, kAlgorithms[i % 4], options);
+    const DifferentialOutcome outcome = RunDifferentialWorld(
+        MultiwayJoinWorkload(config, kAlgorithms[i % 4]), options);
     EXPECT_TRUE(outcome.ok())
         << AlgorithmName(kAlgorithms[i % 4]) << " spill world " << i
         << " budget " << options.shuffle_memory_budget << " seed "
@@ -178,14 +183,14 @@ TEST(SpillChaosTest, FaultFreeSpillMatchesInMemory) {
     config.mix = PredicateMix::kHybrid;
     config.seed = SeedBase() * 131 + 71;
 
-    ChaosOptions options;
+    DifferentialOptions options;
     options.crash_prob = 0;
     options.flaky_prob = 0;
     options.slow_prob = 0;
     options.shuffle_memory_budget = 1;
 
-    const ChaosOutcome outcome =
-        testing::RunChaosWorld(config, algorithm, options);
+    const DifferentialOutcome outcome = RunDifferentialWorld(
+        MultiwayJoinWorkload(config, algorithm), options);
     EXPECT_TRUE(outcome.ok())
         << AlgorithmName(algorithm) << ": " << outcome.mismatch;
     EXPECT_GT(outcome.spilled_runs, 0);
@@ -209,12 +214,12 @@ TEST(SpillChaosTest, CrashMidSpillFlushRecovers) {
   config.mix = PredicateMix::kHybrid;
   config.seed = SeedBase() * 977 + 3;
 
-  ChaosOptions options;
+  DifferentialOptions options;
   options.shuffle_memory_budget = 1;  // Every chunk must flush.
   options.fault_plan = &plan;
 
-  const ChaosOutcome outcome = testing::RunChaosWorld(
-      config, Algorithm::kControlledReplicate, options);
+  const DifferentialOutcome outcome = RunDifferentialWorld(
+      MultiwayJoinWorkload(config, Algorithm::kControlledReplicate), options);
   EXPECT_TRUE(outcome.ok()) << outcome.mismatch;
   EXPECT_GT(outcome.spilled_runs, 0);
   // Chunk 0 faults twice, chunk 1 once — in every job of the cascade.
@@ -230,17 +235,19 @@ TEST(ChaosDeterminism, PoolInvariantFaultAccounting) {
   config.mix = PredicateMix::kHybrid;
   config.seed = SeedBase() * 31 + 5;
 
-  ChaosOptions serial_options;
+  DifferentialOptions serial_options;
   serial_options.fault_seed = SeedBase() + 42;
-  const ChaosOutcome serial = testing::RunChaosWorld(
-      config, Algorithm::kControlledReplicate, serial_options);
+  const DifferentialWorkload workload =
+      MultiwayJoinWorkload(config, Algorithm::kControlledReplicate);
+  const DifferentialOutcome serial =
+      RunDifferentialWorld(workload, serial_options);
   ASSERT_TRUE(serial.ok()) << serial.mismatch;
 
   ThreadPool pool(4);
-  ChaosOptions pool_options = serial_options;
+  DifferentialOptions pool_options = serial_options;
   pool_options.pool = &pool;
-  const ChaosOutcome threaded = testing::RunChaosWorld(
-      config, Algorithm::kControlledReplicate, pool_options);
+  const DifferentialOutcome threaded =
+      RunDifferentialWorld(workload, pool_options);
   ASSERT_TRUE(threaded.ok()) << threaded.mismatch;
 
   EXPECT_EQ(serial.attempts, threaded.attempts);

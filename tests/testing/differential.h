@@ -22,9 +22,9 @@ namespace mwsj::testing {
 /// under a seeded FaultPlan / shuffle budget / pinned SIMD ISA — and
 /// cross-checks that the perturbation axes are invisible in everything
 /// except their own accounting: byte-identical tuples, user counters,
-/// shuffle statistics, and the DFS write ledger. The chaos layer
-/// (testing/chaos.h) is a multiway-join adapter over this harness; the
-/// knn-mr differential suite drives it directly.
+/// shuffle statistics, and the DFS write ledger. The chaos suite runs the
+/// multiway-join workload (testing/chaos.h) through it; the knn-mr
+/// differential suite supplies its own workload.
 
 /// A workload under differential test. The harness owns the perturbation
 /// axes and hands the workload a fully assembled ExecutionContext (pool,
@@ -45,8 +45,7 @@ struct DifferentialWorkload {
   std::function<StatusOr<JoinRunResult>(const ExecutionContext& ctx)> run;
 };
 
-/// Perturbation axes of one differential world (a superset of the chaos
-/// layer's ChaosOptions).
+/// Perturbation axes of one differential world.
 struct DifferentialOptions {
   /// Seed of the FaultPlan::Seeded plan applied to the variant run.
   uint64_t fault_seed = 1;

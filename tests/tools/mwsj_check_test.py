@@ -5,11 +5,14 @@ Run via ctest (tools_mwsj_check_test) or directly:
     python3 tests/tools/mwsj_check_test.py
 
 The fixtures under tests/tools/check_fixtures/ are analyzer inputs, never
-compiled by the build. Each rule has a violating, a clean, and a suppressed
-fixture. The suite always runs the textual frontend (available everywhere);
-when the python clang bindings are importable it re-runs the bad/clean
-fixtures under the libclang frontend against a generated compilation
-database and asserts the two frontends agree.
+compiled by the build. Each call-graph rule has a violating, a clean, and a
+suppressed fixture. The per-file rules key on the path relative to --root,
+so their fixtures live in a miniature tree (check_fixtures/tree/, with src/
+and tools/ subdirectories) analyzed with --root pointing at it. The suite
+always runs the textual frontend (available everywhere); when the python
+clang bindings are importable it re-runs the call-graph fixtures under the
+libclang frontend against a generated compilation database and asserts the
+two frontends agree.
 """
 
 import json
@@ -23,6 +26,7 @@ import unittest
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent.parent
 CHECK = REPO_ROOT / "tools" / "mwsj_check.py"
 FIXTURES = REPO_ROOT / "tests" / "tools" / "check_fixtures"
+TREE = FIXTURES / "tree"
 BASELINE = REPO_ROOT / "tools" / "mwsj_check_baseline.txt"
 
 DIAG_RE = re.compile(
@@ -31,6 +35,7 @@ DIAG_RE = re.compile(
 # fixture (relative to the fixture root) -> the one rule it violates.
 BAD_FIXTURES = {
     "alloc_free_bad.cc": "alloc-free-reach",
+    "alloc_free_direct_bad.cc": "alloc-free-reach",
     "shared_write_bad.cc": "shared-write-reach",
     "emit_determinism_bad.cc": "emit-determinism",
     "blocking_bad.cc": "blocking-reach",
@@ -49,6 +54,29 @@ CLEAN_FIXTURES = [
     "blocking_suppressed.cc",
     "lock_order_clean.cc",
     "lock_order_suppressed.cc",
+]
+
+# Per-file rule fixtures (relative to TREE) -> (rule, line of the one
+# finding).
+TREE_BAD_FIXTURES = {
+    "src/core/bad_hot_path.cc": ("hot-path-std-function", 7),
+    "src/core/bad_rng.cc": ("rng-outside-common", 7),
+    "src/core/bad_spill_unbounded.cc": ("spill-unbounded", 15),
+    "src/core/bad_stdout.cc": ("stdout-in-library", 7),
+    "src/core/bad_trace_span.cc": ("trace-span-temporary", 12),
+    "src/core/bad_unordered_emit.cc": ("unordered-emit", 13),
+    "src/io/bad_engine_run.cc": ("engine-run-outside-scheduler", 15),
+}
+
+# Clean, suppressed, and path-exempt inputs for the per-file rules.
+TREE_CLEAN_FIXTURES = [
+    "src/core/clean.cc",
+    "src/core/suppressed.cc",
+    "src/common/rng_ok.cc",
+    "src/io/engine_types_ok.cc",
+    "src/io/spill_budgeted_ok.cc",
+    "src/queries/knn_mr_ok.cc",
+    "tools/stdout_ok.cc",
 ]
 
 
@@ -76,8 +104,8 @@ def have_libclang():
 
 
 class MwsjCheckFixtureTest(unittest.TestCase):
-    def check_fixture(self, rel, *extra):
-        return run_check("--root", str(FIXTURES), *extra, rel)
+    def check_fixture(self, rel, *extra, root=FIXTURES):
+        return run_check("--root", str(root), *extra, rel)
 
     def test_each_bad_fixture_violates_exactly_its_rule(self):
         for rel, rule in BAD_FIXTURES.items():
@@ -108,15 +136,49 @@ class MwsjCheckFixtureTest(unittest.TestCase):
                                  f"{rel}: unexpected diagnostics: "
                                  f"{proc.stdout}")
 
+    def test_fixture_tree_reports_exactly_the_bad_fixtures(self):
+        # The per-file rules see one file at a time, so one run over the
+        # whole tree pins every bad fixture to its single finding and every
+        # clean, suppressed, or path-exempt fixture to none.
+        for rel in TREE_CLEAN_FIXTURES:
+            self.assertTrue((TREE / rel).is_file(), rel)
+        proc = self.check_fixture(str(TREE), root=TREE)
+        self.assertEqual(proc.returncode, 1, proc.stderr)
+        self.assertEqual(
+            sorted(parse_diags(proc.stdout)),
+            sorted((rel, line, rule)
+                   for rel, (rule, line) in TREE_BAD_FIXTURES.items()),
+            proc.stdout)
+
+    def test_removing_suppressions_reveals_the_findings(self):
+        # Guards against the allow grammar silently matching everything:
+        # the suppressed fixture really violates three rules.
+        src = (TREE / "src/core/suppressed.cc").read_text()
+        stripped = re.sub(r"//\s*mwsj-check:\s*allow\(.*", "", src)
+        with tempfile.TemporaryDirectory() as tmp:
+            target = pathlib.Path(tmp) / "src" / "core" / "unsuppressed.cc"
+            target.parent.mkdir(parents=True)
+            target.write_text(stripped)
+            proc = self.check_fixture(str(target), root=tmp)
+        self.assertEqual(proc.returncode, 1)
+        self.assertEqual({d[2] for d in parse_diags(proc.stdout)},
+                         {"rng-outside-common", "stdout-in-library",
+                          "hot-path-std-function"})
+
+    def test_missing_path_is_a_usage_error(self):
+        proc = run_check("no/such/dir")
+        self.assertEqual(proc.returncode, 2)
+
     def test_disabling_a_rule_silences_exactly_its_fixture(self):
         # Proves each bad fixture's diagnostic comes from its rule alone —
         # and pins that the rule is what keeps the fixture failing: if the
         # rule stopped firing, test_each_bad_fixture... would fail too.
-        for rel, rule in BAD_FIXTURES.items():
-            if rule == "bad-suppression":
-                continue  # not disableable; it guards the allow grammar
+        cases = [(FIXTURES, rel, rule) for rel, rule in BAD_FIXTURES.items()
+                 if rule != "bad-suppression"]  # guards the allow grammar
+        cases.append((TREE, "src/core/bad_rng.cc", "rng-outside-common"))
+        for root, rel, rule in cases:
             with self.subTest(fixture=rel):
-                proc = self.check_fixture(rel, "--disable", rule)
+                proc = self.check_fixture(rel, "--disable", rule, root=root)
                 self.assertEqual(proc.returncode, 0,
                                  f"{rel}: still failing with {rule} "
                                  f"disabled:\n{proc.stdout}{proc.stderr}")
@@ -179,24 +241,26 @@ class MwsjCheckFixtureTest(unittest.TestCase):
 
     def test_real_tree_is_clean_under_baseline(self):
         # The same gate CI applies (and the mwsj_check_tree ctest): src/
-        # analyzes clean modulo the justified baseline.
-        proc = run_check("--baseline", str(BASELINE), "src")
+        # and tools/ analyze clean modulo the justified baseline.
+        proc = run_check("--baseline", str(BASELINE), "src", "tools")
         self.assertEqual(proc.returncode, 0,
-                         f"src/ has unbaselined findings:\n{proc.stdout}"
+                         f"unbaselined findings:\n{proc.stdout}"
                          f"{proc.stderr}")
 
-    def test_list_rules_names_all_five_graph_rules(self):
+    def test_list_rules_names_every_rule(self):
         proc = run_check("--list-rules")
         self.assertEqual(proc.returncode, 0)
-        for rule in ("alloc-free-reach", "shared-write-reach",
-                     "emit-determinism", "blocking-reach", "lock-order"):
+        for rule in set(BAD_FIXTURES.values()) | {
+                rule for rule, _line in TREE_BAD_FIXTURES.values()}:
             self.assertIn(rule, proc.stdout)
 
 
 @unittest.skipUnless(have_libclang(),
                      "python clang bindings / libclang unavailable")
 class MwsjCheckLibclangParityTest(unittest.TestCase):
-    """The libclang frontend must agree with the textual one on fixtures."""
+    """The libclang frontend must agree with the textual one on the
+    call-graph fixtures. The per-file rules read only FileInfo text, which
+    both frontends fill alike, so the tree fixtures are not compiled."""
 
     @classmethod
     def setUpClass(cls):

@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
-"""mwsj_check: call-graph-aware invariant analyzer for the mwsj tree.
+"""mwsj_check: invariant analyzer for the mwsj tree.
 
-Where tools/mwsj_lint.py matches single lines against regexes, this tool
-builds a whole-program call graph over the effect annotations declared in
-src/common/effects.h and propagates five invariants across it (rule table:
-tools/mwsj_check_rules.md; architecture: DESIGN.md section 2.15):
+Builds a whole-program call graph over the effect annotations declared in
+src/common/effects.h and propagates five invariants across it, and runs
+seven per-file textual rules (rule table: tools/mwsj_check_rules.md;
+architecture: DESIGN.md sections 2.10 and 2.15):
 
   alloc-free-reach   An MWSJ_ALLOC_FREE function must not transitively
                      reach operator new / malloc / make_unique / a
@@ -29,6 +29,12 @@ tools/mwsj_check_rules.md; architecture: DESIGN.md section 2.15):
                      Class::member (instance-insensitive), so two
                      instances of the same member are one node.
 
+The per-file rules (rng-outside-common, stdout-in-library, unordered-emit,
+hot-path-std-function, trace-span-temporary, spill-unbounded,
+engine-run-outside-scheduler) match one file's stripped source; where they
+apply depends on the file's path relative to --root and on the
+`// mwsj-check: hot-path` / `// mwsj-check: spill-budgeted` file markers.
+
 Frontends (--frontend=auto|libclang|textual):
 
   libclang  parses every TU named by compile_commands.json (--compdb) and
@@ -46,11 +52,12 @@ CI job additionally runs the fixture suite under whichever frontend it
 resolved before gating the tree.
 
 Suppressions: `// mwsj-check: allow(rule[,rule]): justification` on the
-finding line or the line above. A missing or empty justification is
-itself a finding (bad-suppression) that cannot be suppressed. Baseline
-entries (--baseline FILE) are `rule|path|function|justification` lines;
-entries that no longer match any finding are reported as stale and fail
-the run, keeping the baseline exact.
+finding line, the line above, or in the //-comment block directly above.
+A missing or empty justification is itself a finding (bad-suppression)
+that cannot be suppressed. Baseline entries (--baseline FILE) are
+`rule|path|function|justification` lines; entries that no longer match
+any finding are reported as stale and fail the run, keeping the baseline
+exact.
 
 Exit codes: 0 clean, 1 findings, 2 usage or frontend error.
 """
@@ -85,6 +92,24 @@ RULES = {
     "lock-order":
         "the MutexLock acquisition graph (including locks taken by "
         "callees) must be acyclic",
+    "rng-outside-common":
+        "no <random> engine or rand()/srand() outside src/common/; draw from "
+        "the seeded mwsj::Rng",
+    "stdout-in-library":
+        "no std::cout/printf in src/ (stdout belongs to tools/)",
+    "unordered-emit":
+        "no range-for over an unordered container whose body calls Emit(",
+    "hot-path-std-function":
+        "no std::function in files marked hot-path or declaring "
+        "MWSJ_ALLOC_FREE functions",
+    "trace-span-temporary":
+        "a TraceSpan must be a named local, not a temporary",
+    "spill-unbounded":
+        "no push_back/emplace_back on a never-reserve()d vector in files "
+        "marked spill-budgeted",
+    "engine-run-outside-scheduler":
+        "only src/core, src/queries and src/mapreduce may call "
+        "MapReduceJob::Run; everything else submits to the scheduler",
     "bad-suppression":
         "every `mwsj-check: allow(...)` must name known rules and carry "
         "a non-empty justification",
@@ -845,6 +870,141 @@ def scan_locks(fn: FunctionInfo, line_of) -> None:
 
 
 # ---------------------------------------------------------------------------
+# Per-file rules (shared between frontends)
+# ---------------------------------------------------------------------------
+#
+# Each rule reads one FileInfo and its stripped lines and yields (1-based
+# line, message); Analyzer.run reports them through add(), so --disable,
+# suppressions, the baseline and dedup apply as for the graph rules.
+
+MARKER_RE = re.compile(r"//\s*mwsj-check:\s*(hot-path|spill-budgeted)\b")
+STDOUT_RE = re.compile(r"std::cout\b|(?<![\w:])(?:std::)?printf\s*\(")
+UNORDERED_DECL_RE = re.compile(
+    r"std::unordered_(?:map|set|multimap|multiset)\s*"
+    r"<(?:[^<>;]|<[^<>;]*>)*>\s*(?:const\s*)?[&*]?\s*(\w+)")
+RANGE_FOR_RE = re.compile(r"for\s*\([^;)]*:\s*\*?(\w+)\s*\)")
+EMIT_RE = re.compile(r"\bEmit\s*\(")
+STD_FUNCTION_RE = re.compile(r"std::function\b")
+TRACE_SPAN_RE = re.compile(r"(?:^\s*|[;{}]\s*)TraceSpan\s*[({]([^)}]*)")
+# A first argument that looks like a parameter type marks a declaration.
+DECL_ARG_RE = re.compile(r"\s*(?:const\b|\w+\s*[*&])")
+RESERVE_RE = re.compile(r"(\w+)\s*(?:\.|->)\s*reserve\s*\(")
+GROW_RE = re.compile(r"(\w+)\s*(?:\.|->)\s*(?:push_back|emplace_back)\s*\(")
+ENGINE_INCLUDE_RE = re.compile(
+    r"(?m)^[ \t]*#[ \t]*include\b.*mapreduce/engine\.h")
+RUN_CALL_RE = re.compile(r"(?:\.|->)\s*Run\s*\(")
+SCHEDULER_CORE_DIRS = ("src/core/", "src/queries/", "src/mapreduce/")
+
+
+def matching_lines(lines, pat):
+    for line_no, line in enumerate(lines, 1):
+        m = pat.search(line)
+        if m:
+            yield line_no, m
+
+
+def rule_rng_outside_common(fi, lines):
+    if fi.rel.startswith("src/common/"):
+        return
+    for line_no, m in matching_lines(lines, RNG_RE):
+        yield line_no, (f"'{m.group(0)}' outside src/common/; use the "
+                        "seeded mwsj::Rng (common/random.h)")
+
+
+def rule_stdout_in_library(fi, lines):
+    if not fi.rel.startswith("src/"):
+        return
+    for line_no, m in matching_lines(lines, STDOUT_RE):
+        yield line_no, (f"'{m.group(0).strip()}' in library code; return a "
+                        "Status or report via stats/trace (stdout is "
+                        "reserved for tools/)")
+
+
+def loop_body_emits(lines, idx, header_end):
+    """Whether the range-for whose header ends at lines[idx][header_end]
+    calls Emit( in its body (braced, or one braceless statement)."""
+    if EMIT_RE.search(lines[idx][header_end:]):
+        return True
+    depth, opened = 0, False
+    for j in range(idx, len(lines)):
+        line = lines[j]
+        if opened and EMIT_RE.search(line):
+            return True
+        depth += line.count("{") - line.count("}")
+        opened = opened or "{" in line
+        if opened and depth <= 0:
+            return False
+        if not opened and j > idx:
+            return bool(EMIT_RE.search(line))
+    return False
+
+
+def rule_unordered_emit(fi, lines):
+    names = set(UNORDERED_DECL_RE.findall(fi.code))
+    for line_no, m in matching_lines(lines, RANGE_FOR_RE):
+        if m.group(1) in names and loop_body_emits(lines, line_no - 1,
+                                                   m.end()):
+            yield line_no, (f"iteration over unordered container "
+                            f"'{m.group(1)}' feeds an Emit path; sort "
+                            "before emitting")
+
+
+def rule_hot_path_std_function(fi, lines):
+    if "hot-path" not in MARKER_RE.findall(fi.raw) and \
+            "alloc_free" not in head_annotations(fi.code):
+        return
+    for line_no, _m in matching_lines(lines, STD_FUNCTION_RE):
+        yield line_no, ("std::function in a hot-path file (marker or "
+                        "MWSJ_ALLOC_FREE functions); use a template "
+                        "parameter or function pointer")
+
+
+def rule_trace_span_temporary(fi, lines):
+    for line_no, m in matching_lines(lines, TRACE_SPAN_RE):
+        args = m.group(1)
+        line = lines[line_no - 1]
+        if not args.strip() or DECL_ARG_RE.match(args) or \
+                "= delete" in line or "= default" in line:
+            continue  # a constructor declaration, not a use
+        yield line_no, ("TraceSpan constructed as a temporary dies at the "
+                        "end of the statement (zero-length span); bind it "
+                        "to a named local")
+
+
+def rule_spill_unbounded(fi, lines):
+    if "spill-budgeted" not in MARKER_RE.findall(fi.raw):
+        return
+    reserved = set(RESERVE_RE.findall(fi.code))
+    for line_no, line in enumerate(lines, 1):
+        for m in GROW_RE.finditer(line):
+            if m.group(1) not in reserved:
+                yield line_no, (f"'{m.group(1)}' grows with no reserve() in "
+                                "a spill-budgeted file; reserve a bound or "
+                                "justify with allow(spill-unbounded)")
+
+
+def rule_engine_run_outside_scheduler(fi, lines):
+    if fi.rel.startswith(SCHEDULER_CORE_DIRS) or \
+            not ENGINE_INCLUDE_RE.search(fi.raw):
+        return
+    for line_no, _m in matching_lines(lines, RUN_CALL_RE):
+        yield line_no, ("direct MapReduceJob::Run call outside the scheduler "
+                        "core; submit through JobScheduler::Submit "
+                        "(core/scheduler.h) or the RunSpatialJoin wrapper")
+
+
+FILE_RULES = {
+    "rng-outside-common": rule_rng_outside_common,
+    "stdout-in-library": rule_stdout_in_library,
+    "unordered-emit": rule_unordered_emit,
+    "hot-path-std-function": rule_hot_path_std_function,
+    "trace-span-temporary": rule_trace_span_temporary,
+    "spill-unbounded": rule_spill_unbounded,
+    "engine-run-outside-scheduler": rule_engine_run_outside_scheduler,
+}
+
+
+# ---------------------------------------------------------------------------
 # Analysis
 # ---------------------------------------------------------------------------
 
@@ -1008,6 +1168,11 @@ class Analyzer:
         self.rule_emit_determinism()
         self.rule_blocking_reach()
         self.rule_lock_order()
+        for fi in self.r.files.values():
+            lines = fi.code.split("\n")
+            for rule, check in FILE_RULES.items():
+                for line, message in check(fi, lines):
+                    self.add(fi.rel, line, rule, message, "")
         # Dedup identical findings (templates parsed in many TUs, multiple
         # roots reaching one site, ...): keep the first per (rel,line,rule).
         seen = set()
