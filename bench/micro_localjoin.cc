@@ -31,15 +31,47 @@ std::vector<Rect> MakeRects(int n, uint64_t seed, double space = 10'000,
   return rects;
 }
 
+// Rectangles packed into a few tight clusters, like a road network's towns
+// falling into one reducer cell: centers share exponent and leading
+// mantissa bits, the case the radix STR sort skips digits on.
+std::vector<Rect> MakeClusteredRects(int n, uint64_t seed) {
+  Rng rng(seed);
+  constexpr int kClusters = 8;
+  std::vector<Point> centers;
+  for (int c = 0; c < kClusters; ++c) {
+    const double x = rng.Uniform(1'000, 2'000);
+    centers.push_back(Point{x, rng.Uniform(1'000, 2'000)});
+  }
+  std::vector<Rect> rects;
+  rects.reserve(static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    const Point& c = centers[static_cast<size_t>(i % kClusters)];
+    const double l = rng.Uniform(0, 2);
+    const double b = rng.Uniform(0, 2);
+    rects.push_back(Rect::FromXYLB(c.x + rng.Uniform(-20, 20),
+                                   c.y + rng.Uniform(-20, 20), l, b));
+  }
+  return rects;
+}
+
+// Arg 0: rectangle count; arg 1: 0 uniform, 1 clustered. The 3k rows are
+// one reducer's relation at benchmark scale.
 void BM_RTreeBuild(benchmark::State& state) {
-  const auto rects = MakeRects(static_cast<int>(state.range(0)), 1);
+  const int n = static_cast<int>(state.range(0));
+  const auto rects =
+      state.range(1) == 0 ? MakeRects(n, 1) : MakeClusteredRects(n, 1);
   for (auto _ : state) {
     RTree tree(rects);
     benchmark::DoNotOptimize(&tree);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_RTreeBuild)->Arg(1000)->Arg(10000)->Arg(100000);
+BENCHMARK(BM_RTreeBuild)
+    ->Args({1000, 0})
+    ->Args({3000, 0})
+    ->Args({3000, 1})
+    ->Args({10000, 0})
+    ->Args({100000, 0});
 
 void BM_RTreeOverlapProbe(benchmark::State& state) {
   const auto rects = MakeRects(static_cast<int>(state.range(0)), 2);

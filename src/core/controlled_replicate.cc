@@ -537,10 +537,13 @@ StatusOr<JoinRunResult> ControlledReplicateJoin(
     for (const auto& rel : per_relation) {
       spans.emplace_back(rel.data(), rel.size());
     }
+    // Prune before enumerating: a prefix no completion of which this cell
+    // can own is skipped whole instead of being built and rejected below.
+    const PrefixOwnershipFilter may_own(query, grid, cell, spans);
     MultiwayLocalJoin local(query, std::move(spans));
     std::vector<const Rect*> member_rects(static_cast<size_t>(m));
     int64_t counted = 0;
-    local.Execute([&](const std::vector<const LocalRect*>& members) {
+    auto emit_owned = [&](const std::vector<const LocalRect*>& members) {
       for (int r = 0; r < m; ++r) {
         member_rects[static_cast<size_t>(r)] =
             &members[static_cast<size_t>(r)]->rect;
@@ -555,7 +558,8 @@ StatusOr<JoinRunResult> ControlledReplicateJoin(
         ids[static_cast<size_t>(r)] = members[static_cast<size_t>(r)]->id;
       }
       out.Emit(std::move(ids));
-    });
+    };
+    local.Execute(emit_owned, may_own);
     if (counted > 0) out.IncrementCounter(kCounterTuplesCounted, counted);
   });
 

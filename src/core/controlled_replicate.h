@@ -81,6 +81,33 @@ struct ControlledReplicateOptions {
 ///    unmarked members to share one start cell c0, and places the
 ///    reference point inside c0 — given the left/above boundary-point
 ///    ownership convention of GridPartition::CellOfPoint.
+///
+/// Round 2 prunes the local join with PrefixOwnershipFilter (core/dedup.h).
+/// Soundness — the filter never rejects a prefix with an owned completion:
+///  * CellOfPoint is monotone on each axis, so the owner of a tuple is
+///    (max start column, max start row) over its members; a cell c owns it
+///    only if some member starts in column >= col(c) and some member in
+///    row >= row(c). Under the left/above convention, a start point (x, y)
+///    lies in column >= col(c) iff x > left(c), and in row >= row(c) iff
+///    y < top(c), where left/top are c's grid lines (first column/row:
+///    always). This needs no property of the routing.
+///  * For a completion built at c, an unbound member u satisfies
+///    u.min_x <= max start x of u's rectangles at c, and for each bound b
+///    joined to u by a query-graph path b = p0 … pk = u:
+///    u.min_x <= b.max_x + Σ w(p_{i-1}, p_i) + Σ_{0<i<k} width(p_i), with
+///    w = 0 for Ov (overlap forces p_i.min_x <= p_{i-1}.max_x) and d for
+///    Ra(d) (the x-gap never exceeds the Euclidean gap), and width(p_i) the
+///    widest rectangle of p_i at c (p_i.max_x = p_i.min_x + its width).
+///    The shortest such path is Dx[b][u]; Dy mirrors it with heights for
+///    u.max_y >= b.min_y - Dy[b][u]. The computed sums are padded by a
+///    relative and an absolute slack that exceed every rounding step of
+///    the predicates, the extents and the sums, so each bound still holds.
+///  * Hence if no bound member starts right of left(c) and every unbound u
+///    has a bound <= left(c), no completion has a member in column
+///    >= col(c) (likewise for rows), and c owns none of them.
+/// A bound prefix only ever moves the reference point toward c — under
+/// C-Rep's routing every rectangle at c starts in c or above/left of it —
+/// so only bounds on what the unbound relations can reach can prune.
 StatusOr<JoinRunResult> ControlledReplicateJoin(
     const Query& query, const GridPartition& grid,
     const std::vector<std::vector<Rect>>& relations,

@@ -3,11 +3,14 @@
 
 #include <cstdint>
 #include <span>
+#include <vector>
 
 #include "common/effects.h"
 #include "common/work_counters.h"
 #include "geometry/rect.h"
 #include "grid/grid_partition.h"
+#include "localjoin/multiway.h"
+#include "query/query.h"
 
 namespace mwsj {
 
@@ -45,6 +48,54 @@ MultiwayReferencePoint(std::span<const Rect* const> members);
 MWSJ_ALLOC_FREE MWSJ_DETERMINISTIC bool OwnsTuple(
     const GridPartition& grid, CellId cell,
     std::span<const Rect* const> members);
+
+/// Prefix pruning for the multi-way rule: answers, for a partial binding
+/// of a reducer's local join, whether some completion could still be owned
+/// by `cell`. Passed to MultiwayLocalJoin::Execute as its prefix filter, it
+/// skips subtrees whose every tuple OwnsTuple would reject. A cell owns a
+/// tuple only if some member starts in its column or to the right, and
+/// some member in its row or below; a prefix is rejected when neither a
+/// bound member nor any unbound relation can still do so. An unbound
+/// relation's reach is bounded by its local rectangles and by query-graph
+/// paths from the bound members (edges weigh 0 for Ov, d for Ra(d),
+/// intermediate relations their widest local rectangle). The soundness
+/// proof is in core/controlled_replicate.h.
+class PrefixOwnershipFilter {
+ public:
+  /// `relations[r]` holds relation r's rectangles at this reducer — the
+  /// same spans the local join enumerates. Build cost is O(m^3 + n).
+  PrefixOwnershipFilter(const Query& query, const GridPartition& grid,
+                        CellId cell,
+                        std::span<const std::span<const LocalRect>> relations);
+
+  /// False only when no completion of `partial` (nullptr marks an unbound
+  /// relation) can be owned by the cell. Runs once per bound candidate:
+  /// MWSJ_ALLOC_FREE (reads the precomputed bounds only) and
+  /// MWSJ_DETERMINISTIC (pruning decides which tuples reach the emit).
+  MWSJ_ALLOC_FREE MWSJ_DETERMINISTIC bool MayOwn(
+      std::span<const LocalRect* const> partial) const;
+
+  /// The MultiwayLocalJoin::Execute filter signature.
+  bool operator()(const std::vector<const LocalRect*>& partial) const {
+    return MayOwn(partial);
+  }
+
+ private:
+  size_t m_;
+  // The cell's left and top grid lines; a start point is in the cell's
+  // column or to its right iff x > left_x_, in its row or below iff
+  // y < top_y_ (GridPartition's left/above boundary convention). -inf and
+  // +inf on the first column and row, which every start point satisfies.
+  double left_x_;
+  double top_y_;
+  // Per relation: the largest start x (min_x) and the smallest start y
+  // (max_y) among its local rectangles.
+  std::vector<double> max_start_x_;
+  std::vector<double> min_start_y_;
+  // Row-major m x m path bounds Dx and Dy (+inf when disconnected).
+  std::vector<double> dx_;
+  std::vector<double> dy_;
+};
 
 /// Each check above counts itself into the calling thread's current work
 /// block (common/work_counters.h), plus one `owned` per "this cell owns

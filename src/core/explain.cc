@@ -104,6 +104,22 @@ std::string ExplainRun(const Query& query, const JoinRunResult& result,
     }
     out += StrFormat("  reduce time: total %.3fs, slowest task %.3fs\n",
                      job.SumReducerSeconds(), job.MaxReducerSeconds());
+    // Dedup work from the job's committed work counters: how many
+    // enumerated candidates the ownership rules examined, and how many of
+    // them this cell kept. A low ratio is enumeration thrown away.
+    const WorkCounters& work = job.work;
+    const int64_t checks =
+        work.tuple_checks + work.pair_checks + work.range_pair_checks;
+    if (checks > 0) {
+      out += StrFormat(
+          "  dedup: %lld tuple checks | %lld pair checks (+%lld range) | "
+          "%lld owned (owned/checks %.3f)\n",
+          static_cast<long long>(work.tuple_checks),
+          static_cast<long long>(work.pair_checks),
+          static_cast<long long>(work.range_pair_checks),
+          static_cast<long long>(work.owned),
+          static_cast<double>(work.owned) / static_cast<double>(checks));
+    }
     if (job.spill.active()) {
       const SpillStats& s = job.spill;
       out += StrFormat(

@@ -27,7 +27,8 @@ struct LocalRect {
 /// per query relation) that satisfies all join conditions. This is the
 /// "compute the join" step every algorithm's final reduce phase runs
 /// (§6.1, §7.1); the caller applies its duplicate-avoidance filter in the
-/// emit callback.
+/// emit callback, and may skip whole subtrees earlier through a prefix
+/// filter (Execute(emit, keep)).
 ///
 /// Strategy: index each relation with an STR R-tree, bind relations along
 /// the join graph starting from the smallest relation, probe the next
@@ -62,6 +63,19 @@ class MultiwayLocalJoin {
   /// contract across platforms and kernel ISAs.
   template <typename Emit>
   MWSJ_ALLOC_FREE MWSJ_DETERMINISTIC void Execute(const Emit& emit) const {
+    Execute(emit, [](const std::vector<const LocalRect*>&) { return true; });
+  }
+
+  /// Runs the join with a prefix filter. After a candidate binds at depth
+  /// k < m - 1, `keep(assignment)` sees the partial assignment (bound
+  /// relations point at their rectangle, unbound ones are nullptr);
+  /// returning false skips every completion of that prefix. A filter that
+  /// keeps every prefix leaves the emit stream exactly as Execute(emit)
+  /// produces it. `keep` runs once per candidate, so it is held to the
+  /// same MWSJ_ALLOC_FREE / MWSJ_DETERMINISTIC contract as the recursion.
+  template <typename Emit, typename Keep>
+  MWSJ_ALLOC_FREE MWSJ_DETERMINISTIC void Execute(const Emit& emit,
+                                                  const Keep& keep) const {
     for (const auto& relation : relations_) {
       if (relation.empty()) return;  // No full assignment can exist.
     }
@@ -72,7 +86,7 @@ class MultiwayLocalJoin {
                               nullptr);
     // mwsj-check: allow(alloc-free-reach): same once-per-Execute setup.
     scratch.candidates.resize(order_.size());
-    Bind(0, scratch, emit);
+    Bind(0, scratch, emit, keep);
   }
 
   /// The planned binding order (order_[k] is the relation bound at depth
@@ -97,8 +111,9 @@ class MultiwayLocalJoin {
     RTree::QueryScratch rtree;
   };
 
-  template <typename Emit>
-  void Bind(size_t depth, BindScratch& scratch, const Emit& emit) const {
+  template <typename Emit, typename Keep>
+  void Bind(size_t depth, BindScratch& scratch, const Emit& emit,
+            const Keep& keep) const {
     if (depth == order_.size()) {
       emit(scratch.assignment);
       return;
@@ -115,7 +130,9 @@ class MultiwayLocalJoin {
         if (!c.predicate.Evaluate(candidate.rect, bound_rect->rect)) return;
       }
       scratch.assignment[static_cast<size_t>(r)] = &candidate;
-      Bind(depth + 1, scratch, emit);
+      if (depth + 1 == order_.size() || keep(scratch.assignment)) {
+        Bind(depth + 1, scratch, emit, keep);
+      }
       scratch.assignment[static_cast<size_t>(r)] = nullptr;
     };
 

@@ -7,23 +7,82 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <utility>
 
 namespace mwsj {
 
 namespace {
 
+// Per-build buffers of the radix STR sort: one centre key and one spare
+// (key, id) slot per entry, reused across the levels of one build and
+// freed with it.
+struct StrScratch {
+  std::vector<uint64_t> keys;
+  std::vector<uint64_t> key_tmp;
+  std::vector<int32_t> id_tmp;
+};
+
+// Stable LSD radix sort of ids[0, n) by keys[0, n) (keys[i] belongs to
+// ids[i]) over 8-bit digits. One pass histograms every digit; a digit
+// that is constant over the range moves nothing and is skipped, so
+// clustered coordinates (shared exponent and leading mantissa bits) sort
+// in a few passes. The result is written back into keys/ids.
+void RadixSortByKey(uint64_t* keys, int32_t* ids, size_t n,
+                    StrScratch* scratch) {
+  if (n < 2) return;
+  constexpr int kDigits = 8;
+  uint32_t count[kDigits][256] = {};
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t k = keys[i];
+    for (int d = 0; d < kDigits; ++d) ++count[d][(k >> (8 * d)) & 0xff];
+  }
+  uint64_t* key_src = keys;
+  int32_t* id_src = ids;
+  uint64_t* key_dst = scratch->key_tmp.data();
+  int32_t* id_dst = scratch->id_tmp.data();
+  for (int d = 0; d < kDigits; ++d) {
+    const int shift = 8 * d;
+    if (count[d][(keys[0] >> shift) & 0xff] == n) continue;
+    uint32_t offset[256];
+    uint32_t sum = 0;
+    for (int b = 0; b < 256; ++b) {
+      offset[b] = sum;
+      sum += count[d][b];
+    }
+    for (size_t i = 0; i < n; ++i) {
+      const uint32_t slot = offset[(key_src[i] >> shift) & 0xff]++;
+      key_dst[slot] = key_src[i];
+      id_dst[slot] = id_src[i];
+    }
+    std::swap(key_src, key_dst);
+    std::swap(id_src, id_dst);
+  }
+  if (key_src != keys) {
+    std::copy(key_src, key_src + n, keys);
+    std::copy(id_src, id_src + n, ids);
+  }
+}
+
 // Sorts `ids` into STR tile order: primary slabs by center x, each slab
-// ordered by center y. `group` is the number of entries per tile consumer
-// (leaf or parent capacity).
+// ordered by center y, both stable on exact order-preserving keys — ties
+// keep input order, so the leaf order is a pure function of the input on
+// every ISA. `group` is the number of entries per tile consumer (leaf or
+// parent capacity).
 void StrSort(const std::vector<Rect>& rects, std::vector<int32_t>* ids,
-             int group) {
+             int group, StrScratch* scratch) {
   const size_t n = ids->size();
   if (n == 0) return;
-  auto center_x = [&](int32_t i) { return rects[static_cast<size_t>(i)].center().x; };
-  auto center_y = [&](int32_t i) { return rects[static_cast<size_t>(i)].center().y; };
-
-  std::sort(ids->begin(), ids->end(),
-            [&](int32_t a, int32_t b) { return center_x(a) < center_x(b); });
+  scratch->keys.resize(n);
+  scratch->key_tmp.resize(n);
+  scratch->id_tmp.resize(n);
+  uint64_t* keys = scratch->keys.data();
+  int32_t* order = ids->data();
+  for (size_t i = 0; i < n; ++i) {
+    keys[i] = simd::OrderedKeyFromDouble(
+        rects[static_cast<size_t>(order[i])].center().x);
+  }
+  RadixSortByKey(keys, order, n, scratch);
 
   const size_t num_tiles = (n + static_cast<size_t>(group) - 1) /
                            static_cast<size_t>(group);
@@ -31,11 +90,13 @@ void StrSort(const std::vector<Rect>& rects, std::vector<int32_t>* ids,
       static_cast<size_t>(std::ceil(std::sqrt(static_cast<double>(num_tiles))));
   const size_t slab_size =
       ((num_tiles + num_slabs - 1) / num_slabs) * static_cast<size_t>(group);
+  for (size_t i = 0; i < n; ++i) {
+    keys[i] = simd::OrderedKeyFromDouble(
+        rects[static_cast<size_t>(order[i])].center().y);
+  }
   for (size_t lo = 0; lo < n; lo += slab_size) {
     const size_t hi = std::min(n, lo + slab_size);
-    std::sort(ids->begin() + static_cast<ptrdiff_t>(lo),
-              ids->begin() + static_cast<ptrdiff_t>(hi),
-              [&](int32_t a, int32_t b) { return center_y(a) < center_y(b); });
+    RadixSortByKey(keys + lo, order + lo, hi - lo, scratch);
   }
 }
 
@@ -47,9 +108,10 @@ RTree::RTree(const std::vector<Rect>& rects, int leaf_capacity)
   if (n == 0) return;
   const int cap = std::max(2, leaf_capacity);
 
+  StrScratch scratch;
   entries_.resize(n);
   for (size_t i = 0; i < n; ++i) entries_[i] = static_cast<int32_t>(i);
-  StrSort(rects, &entries_, cap);
+  StrSort(rects, &entries_, cap, &scratch);
 
   // Leaf scans read MBRs in leaf order; materialize them contiguously so
   // a probe is a linear pass with no entries_[i] -> rects[entry] chase.
@@ -84,7 +146,7 @@ RTree::RTree(const std::vector<Rect>& rects, int leaf_capacity)
     for (const Node& nd : prev) mbrs.push_back(nd.mbr);
     std::vector<int32_t> order(prev.size());
     for (size_t i = 0; i < prev.size(); ++i) order[i] = static_cast<int32_t>(i);
-    StrSort(mbrs, &order, cap);
+    StrSort(mbrs, &order, cap, &scratch);
     std::vector<Node> permuted;
     permuted.reserve(prev.size());
     for (int32_t idx : order) permuted.push_back(prev[static_cast<size_t>(idx)]);

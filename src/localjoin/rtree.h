@@ -11,9 +11,11 @@
 namespace mwsj {
 
 /// A static R-tree over a set of rectangles, bulk-loaded with the
-/// Sort-Tile-Recursive (STR) algorithm. Reducers build one per relation to
-/// answer the overlap and within-distance probes of the multiway local
-/// join; entries are identified by their index in the input vector.
+/// Sort-Tile-Recursive (STR) algorithm; the tile sorts are stable radix
+/// sorts on exact center keys, so no comparator recomputes centers.
+/// Reducers build one per relation to answer the overlap and
+/// within-distance probes of the multiway local join; entries are
+/// identified by their index in the input vector.
 ///
 /// The tree is immutable after construction — reducers build, probe, and
 /// discard, so no insert/delete machinery is carried. Leaf entry MBRs are
@@ -59,6 +61,10 @@ class RTree {
                              std::vector<int32_t>* out) const;
 
   size_t size() const { return size_; }
+
+  /// Input indices in leaf order: the STR tile order, stable by rectangle
+  /// center (ties keep input order). Exposed for tests.
+  const std::vector<int32_t>& leaf_order() const { return entries_; }
 
  private:
   struct Node {

@@ -137,6 +137,111 @@ TEST(MultiwayLocalJoinEdge, RelationsBelowScanThresholdMatchBruteForce) {
   EXPECT_EQ(RunLocalJoin(query, data), BruteForceJoin(query, data));
 }
 
+// The prefix-filter contract of Execute(emit, keep).
+class MultiwayPrefixFilterTest : public ::testing::Test {
+ protected:
+  static testing::WorldConfig Config() {
+    testing::WorldConfig config;
+    config.shape = testing::QueryShape::kChain4;
+    config.mix = testing::PredicateMix::kHybrid;
+    config.seed = 4242;
+    config.max_rects_per_relation = 40;
+    return config;
+  }
+
+  MultiwayPrefixFilterTest() : query_(testing::MakeWorldQuery(Config())) {
+    const auto data =
+        testing::MakeWorldData(Config(), query_.num_relations());
+    local_.resize(data.size());
+    for (size_t r = 0; r < data.size(); ++r) {
+      for (size_t i = 0; i < data[r].size(); ++i) {
+        local_[r].push_back(LocalRect{data[r][i], static_cast<int64_t>(i)});
+      }
+    }
+  }
+
+  MultiwayLocalJoin MakeJoin() const {
+    std::vector<std::span<const LocalRect>> spans;
+    for (const auto& rel : local_) spans.emplace_back(rel.data(), rel.size());
+    return MultiwayLocalJoin(query_, std::move(spans));
+  }
+
+  // The emit stream in emit order (not sorted): each tuple as the
+  // addresses of its members.
+  template <typename... Keep>
+  std::vector<std::vector<const LocalRect*>> Stream(
+      const Keep&... keep) const {
+    std::vector<std::vector<const LocalRect*>> out;
+    MakeJoin().Execute(
+        [&out](const std::vector<const LocalRect*>& members) {
+          out.push_back(members);
+        },
+        keep...);
+    return out;
+  }
+
+  Query query_;
+  std::vector<std::vector<LocalRect>> local_;
+};
+
+TEST_F(MultiwayPrefixFilterTest, KeepAllFilterLeavesTheEmitStreamExact) {
+  const auto plain = Stream();
+  ASSERT_FALSE(plain.empty());
+  EXPECT_EQ(Stream([](const std::vector<const LocalRect*>&) { return true; }),
+            plain);
+}
+
+TEST_F(MultiwayPrefixFilterTest, RejectAllFilterEmitsNothing) {
+  int64_t calls = 0;
+  const auto out = Stream([&calls](const std::vector<const LocalRect*>&) {
+    ++calls;
+    return false;
+  });
+  EXPECT_TRUE(out.empty());
+  // Only depth 0 binds before every prefix is rejected: one call per
+  // rectangle of the first relation bound.
+  const int first = MakeJoin().binding_order()[0];
+  EXPECT_EQ(calls,
+            static_cast<int64_t>(local_[static_cast<size_t>(first)].size()));
+}
+
+TEST_F(MultiwayPrefixFilterTest, FilterSeesOnlyProperPrefixes) {
+  // Called at depths 0 .. m-2: every call has between 1 and m-1 bound
+  // members, bound in binding order.
+  const std::vector<int> order = MakeJoin().binding_order();
+  const size_t m = order.size();
+  std::vector<int64_t> calls_by_bound(m + 1, 0);
+  Stream([&](const std::vector<const LocalRect*>& partial) {
+    size_t bound = 0;
+    while (bound < m && partial[static_cast<size_t>(order[bound])] != nullptr) {
+      ++bound;
+    }
+    for (size_t k = bound; k < m; ++k) {
+      EXPECT_EQ(partial[static_cast<size_t>(order[k])], nullptr);
+    }
+    ++calls_by_bound[bound];
+    return true;
+  });
+  EXPECT_EQ(calls_by_bound[0], 0);
+  EXPECT_EQ(calls_by_bound[m], 0);
+  for (size_t k = 1; k < m; ++k) EXPECT_GT(calls_by_bound[k], 0) << k;
+}
+
+TEST_F(MultiwayPrefixFilterTest, RejectedPrefixesDropExactlyTheirSubtrees) {
+  // Rejecting every prefix whose first-bound member has an even id keeps
+  // the rest of the stream, in the same order.
+  const int first = MakeJoin().binding_order()[0];
+  const auto odd_first = [first](const std::vector<const LocalRect*>& t) {
+    return t[static_cast<size_t>(first)]->id % 2 == 1;
+  };
+  std::vector<std::vector<const LocalRect*>> expected;
+  for (const auto& tuple : Stream()) {
+    if (odd_first(tuple)) expected.push_back(tuple);
+  }
+  ASSERT_FALSE(expected.empty());
+  EXPECT_EQ(Stream(odd_first), expected);
+}
+
 TEST(BruteForceTest, TinyHandComputedCase) {
   const Query q = MakeChainQuery(3, Predicate::Overlap()).value();
   const std::vector<std::vector<Rect>> data = {

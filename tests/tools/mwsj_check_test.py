@@ -13,8 +13,13 @@ always runs the textual frontend (available everywhere); when the python
 clang bindings are importable it re-runs the call-graph fixtures under the
 libclang frontend against a generated compilation database and asserts the
 two frontends agree.
+
+Every case calls mwsj_check.main() in this interpreter, capturing its
+stdout and stderr, instead of starting one interpreter per case.
 """
 
+import contextlib
+import io
 import json
 import pathlib
 import re
@@ -24,7 +29,9 @@ import tempfile
 import unittest
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent.parent
-CHECK = REPO_ROOT / "tools" / "mwsj_check.py"
+sys.path.insert(0, str(REPO_ROOT / "tools"))
+import mwsj_check  # noqa: E402  (path set up above)
+
 FIXTURES = REPO_ROOT / "tests" / "tools" / "check_fixtures"
 TREE = FIXTURES / "tree"
 BASELINE = REPO_ROOT / "tools" / "mwsj_check_baseline.txt"
@@ -80,10 +87,24 @@ TREE_CLEAN_FIXTURES = [
 ]
 
 
-def run_check(*args):
-    return subprocess.run(
-        [sys.executable, str(CHECK), "--frontend=textual", *args],
-        capture_output=True, text=True, cwd=REPO_ROOT, check=False)
+def run_check(*args, frontend="textual"):
+    """Runs the analyzer's CLI entry point in-process; returns its exit
+    status and output as a CompletedProcess."""
+    out, err = io.StringIO(), io.StringIO()
+    argv = [f"--frontend={frontend}", *args]
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = mwsj_check.main(argv)
+        except SystemExit as e:
+            # As the interpreter would end the process: an int is the
+            # status (argparse exits 2), a message goes to stderr with 1.
+            if e.code is None or isinstance(e.code, int):
+                code = e.code or 0
+            else:
+                print(e.code, file=sys.stderr)
+                code = 1
+    return subprocess.CompletedProcess(argv, code, out.getvalue(),
+                                       err.getvalue())
 
 
 def parse_diags(stdout):
@@ -97,10 +118,7 @@ def parse_diags(stdout):
 
 
 def have_libclang():
-    probe = ("import tools.mwsj_check as mc, sys; "
-             "sys.exit(0 if mc.load_cindex() is not None else 1)")
-    return subprocess.run([sys.executable, "-c", probe], cwd=REPO_ROOT,
-                          capture_output=True).returncode == 0
+    return mwsj_check.load_cindex() is not None
 
 
 class MwsjCheckFixtureTest(unittest.TestCase):
@@ -282,11 +300,8 @@ class MwsjCheckLibclangParityTest(unittest.TestCase):
         cls.tmp.cleanup()
 
     def check_libclang(self, rel):
-        return subprocess.run(
-            [sys.executable, str(CHECK), "--frontend=libclang",
-             "--compdb", str(self.compdb_path),
-             "--root", str(FIXTURES), rel],
-            capture_output=True, text=True, cwd=REPO_ROOT, check=False)
+        return run_check("--compdb", str(self.compdb_path),
+                         "--root", str(FIXTURES), rel, frontend="libclang")
 
     def test_frontends_agree_on_fixtures(self):
         for rel, rule in BAD_FIXTURES.items():
